@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import catalog
 from .documents import DocumentError, TamperError, compute_hash, document_filename, verify_document
@@ -22,8 +23,8 @@ from .runtime import Agent, AgentConfig
 from .scripted import ScriptedBackend
 from .serve import HostServer
 from .simulator import (MODE_AGORA, MODE_NL_ONLY, ScenarioConfig, emit_report,
-                        load_scenario_file, run_chain_demo, run_scenario,
-                        run_two_agent_demo, window_average)
+                        load_scenario_file, run_chain_demo, run_paired,
+                        run_scenario, run_two_agent_demo, window_average)
 from .transport import Network
 
 EXIT_OK = 0
@@ -214,9 +215,7 @@ def cmd_run_sim(args) -> int:
     mode = args.mode or config.mode
 
     if mode == "paired":
-        from dataclasses import replace as _replace
-        agora = run_scenario(_replace(config, mode=MODE_AGORA))
-        nl_only = run_scenario(_replace(config, mode=MODE_NL_ONLY))
+        agora, nl_only = run_paired(config)
         _print_scenario(agora, baseline=nl_only)
         if args.out:
             emit_report(agora, os.path.join(args.out, "agora"), baseline=nl_only)
@@ -226,8 +225,7 @@ def cmd_run_sim(args) -> int:
     if mode not in (MODE_AGORA, MODE_NL_ONLY):
         _err(f"unknown mode: {mode}")
         return EXIT_CONFIG
-    from dataclasses import replace as _replace
-    result = run_scenario(_replace(config, mode=mode))
+    result = run_scenario(replace(config, mode=mode))
     _print_scenario(result)
     if args.out:
         emit_report(result, args.out)

@@ -25,8 +25,6 @@ import os
 import re
 from dataclasses import dataclass
 
-HASH_HEX_LEN = 40
-
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{40}$")
 
 _NAME_PREFIX = "Name: "

@@ -172,9 +172,6 @@ class WellknownMap:
             (digest, tuple(sources)) for digest, sources in mapping.items()
         )))
 
-    def to_dict(self) -> dict[str, list[str]]:
-        return {digest: list(sources) for digest, sources in self.entries}
-
     def sources_for(self, digest: str) -> tuple[str, ...]:
         for known, sources in self.entries:
             if known == digest:

@@ -37,12 +37,6 @@ class TokenUsage:
         if self.prompt_tokens < 0 or self.completion_tokens < 0:
             raise ValueError("token counts must be non-negative")
 
-    def __add__(self, other: "TokenUsage") -> "TokenUsage":
-        return TokenUsage(
-            self.prompt_tokens + other.prompt_tokens,
-            self.completion_tokens + other.completion_tokens,
-        )
-
 
 class BackendError(Exception):
     """A completion backend failed to produce a reply."""

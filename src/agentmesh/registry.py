@@ -2,7 +2,8 @@
 
 A registry stores protocol documents under their digests, answers metadata
 queries, and periodically pushes its documents to peer registries (the
-simulator triggers a share round every ``share_period`` executed queries).
+simulator triggers a share round every ``ScenarioConfig.share_period``
+executed queries).
 Content addressing makes replication conflict-free: re-submitting identical
 bytes is a no-op, and receivers re-derive the digest themselves, so a
 tampered copy can never be stored under the original hash.
@@ -21,6 +22,7 @@ import json
 import logging
 import os
 import threading
+from urllib.parse import quote
 
 from .documents import (DocumentError, ProtocolDocument, document_filename,
                         is_valid_hash, parse_document, verify_document)
@@ -37,13 +39,11 @@ class RegistryStore:
     """One protocol database; optionally disk-backed, optionally networked."""
 
     def __init__(self, registry_id: str, network: Network | None = None,
-                 peers: tuple[str, ...] = (), root: str | None = None,
-                 share_period: int = 10):
+                 peers: tuple[str, ...] = (), root: str | None = None):
         self.registry_id = registry_id
         self.network = network
         self.peers = tuple(peers)
         self.root = root
-        self.share_period = share_period
         self._documents: dict[str, ProtocolDocument] = {}
         self._lock = threading.Lock()
         if root:
@@ -166,7 +166,7 @@ class RegistryClient:
     def query(self, keyword: str = "") -> list[tuple[str, str, str]]:
         url = f"{self.base_url}/pd"
         if keyword:
-            url += f"?query={keyword}"
+            url += f"?query={quote(keyword, safe='')}"
         rows = json.loads(self.network.fetch_text(url))
         return [(row["hash"], row["name"], row["description"]) for row in rows]
 

@@ -46,6 +46,10 @@ logger = logging.getLogger(__name__)
 
 BOOTSTRAP_SOURCE = "builtin:conversation"
 
+ROUTINE_AFTER_USES = 2    # model-handled uses of a PD before the server writes a routine
+MAX_TOOL_ROUNDS = 5
+NEGOTIATION_ROUNDS = 10
+
 BOOTSTRAP_PD_TEXT = """Name: Multi-Round Conversation Protocol
 Description: A protocol for multi-round natural-language conversations between two agents.
 
@@ -198,16 +202,12 @@ class ToolDescriptor:
 @dataclass
 class AgentConfig:
     agent_id: str
-    role: str = "user"            # user | server (either may do both)
     model_id: str = "gpt-4o"
     thresholds: EscalationThresholds = field(default_factory=EscalationThresholds)
     tools: tuple[ToolDescriptor, ...] = ()
     known_peers: dict[str, str] = field(default_factory=dict)
     registry_url: str | None = None
     pd_store: str | None = None
-    routine_after_uses: int = 2   # model-handled uses of a PD before the server writes a routine
-    max_tool_rounds: int = 5
-    negotiation_rounds: int = 10
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AgentConfig":
@@ -215,16 +215,12 @@ class AgentConfig:
         tools = tuple(ToolDescriptor(**t) for t in raw.get("tools", []))
         return cls(
             agent_id=raw["agent_id"],
-            role=raw.get("role", "user"),
             model_id=raw.get("model_id", "gpt-4o"),
             thresholds=thresholds,
             tools=tools,
             known_peers=dict(raw.get("known_peers", {})),
             registry_url=raw.get("registry_url"),
             pd_store=raw.get("pd_store"),
-            routine_after_uses=int(raw.get("routine_after_uses", 2)),
-            max_tool_rounds=int(raw.get("max_tool_rounds", 5)),
-            negotiation_rounds=int(raw.get("negotiation_rounds", 10)),
         )
 
 
@@ -408,7 +404,7 @@ class Agent:
             with self._lock:
                 self._pd_model_uses[doc.hash] = self._pd_model_uses.get(doc.hash, 0) + 1
                 uses = self._pd_model_uses[doc.hash]
-            if uses >= self.config.routine_after_uses and self.get_routine(doc.hash, RECEIVER) is None:
+            if uses >= ROUTINE_AFTER_USES and self.get_routine(doc.hash, RECEIVER) is None:
                 self.synthesize_routine(doc, RECEIVER)
 
         if (nl_count >= self.config.thresholds.server_negotiate_after
@@ -430,7 +426,7 @@ class Agent:
             Message("user", body),
         ]
         runners = self._tool_runners()
-        for _ in range(self.config.max_tool_rounds):
+        for _ in range(MAX_TOOL_ROUNDS):
             reply, usage = self.backend.complete(conversation)
             self._charge(usage, Activity.NATURAL_LANGUAGE)
             call = prompts.parse_tool_call(reply)
@@ -446,7 +442,7 @@ class Agent:
             else:
                 result = {"error": f"unknown tool: {tool}"}
             conversation.append(Message("tool", json.dumps(result)))
-        raise BackendError(f"tool loop exceeded {self.config.max_tool_rounds} rounds")
+        raise BackendError(f"tool loop exceeded {MAX_TOOL_ROUNDS} rounds")
 
     # ── conversations (negotiation transport) ──────────────────────────
 
@@ -539,7 +535,7 @@ class Agent:
             pending_opening = prompts.negotiation_opening(
                 task_type, task_description, initiator_is_sender=(my_side == SENDER))
 
-            for round_no in range(self.config.negotiation_rounds):
+            for round_no in range(NEGOTIATION_ROUNDS):
                 if round_no == 0:
                     message = pending_opening
                 else:
@@ -566,7 +562,7 @@ class Agent:
                 if block is not None:
                     return self._finalize(block, peer_id, task_type, my_side)
             raise NegotiationError(
-                f"no finalized protocol after {self.config.negotiation_rounds} rounds")
+                f"no finalized protocol after {NEGOTIATION_ROUNDS} rounds")
 
     def _finalize(self, block: str, peer_id: str, task_type: str, my_side: str) -> ProtocolDocument:
         doc = parse_document(block)

@@ -19,16 +19,27 @@ def _make_handler(host: WireHost, quiet: bool):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
 
+        def _read_body(self) -> str:
+            length = self.headers.get("Content-Length") or "0"
+            if not (length.isascii() and length.isdigit()):
+                raise ValueError(f"bad Content-Length: {length!r}")
+            return self.rfile.read(int(length)).decode("utf-8")
+
         def _serve(self, method: str) -> None:
             parts = urlsplit(self.path)
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length).decode("utf-8") if length else ""
             sender = self.headers.get(SENDER_HEADER)
             try:
-                status, ctype, text = host.handle_request(
-                    method, parts.path, dict(parse_qsl(parts.query)), body, sender)
-            except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the socket
-                status, ctype, text = 500, "text/plain", f"internal error: {exc}"
+                body = self._read_body()
+            except ValueError as exc:  # also UnicodeDecodeError
+                # The rest of the stream cannot be trusted to start a request.
+                self.close_connection = True
+                status, ctype, text = 400, "text/plain", f"bad request body: {exc}"
+            else:
+                try:
+                    status, ctype, text = host.handle_request(
+                        method, parts.path, dict(parse_qsl(parts.query)), body, sender)
+                except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the socket
+                    status, ctype, text = 500, "text/plain", f"internal error: {exc}"
             payload = text.encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", ctype)
@@ -55,6 +66,7 @@ class HostServer:
     def __init__(self, host: WireHost, port: int = 0, bind: str = "127.0.0.1",
                  quiet: bool = True):
         self._httpd = ThreadingHTTPServer((bind, port), _make_handler(host, quiet))
+        self._serving = False
         self._thread: threading.Thread | None = None
 
     @property
@@ -67,14 +79,18 @@ class HostServer:
         return f"http://{address}:{port}"
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._httpd.serve_forever()
 
     def start_background(self) -> None:
+        self._serving = True
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
+        """Stop serving, if started, and release the socket."""
+        if self._serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -1,11 +1,13 @@
 """Deterministic multi-agent scenarios and their reports.
 
 A scenario wires users, servers, and three protocol registries onto one
-in-process network (HTTP hosting is available for integration runs),
-generates a seeded workload, executes it in order on a single logical
-worker, and records one metrics row per query. The natural-language-only
-counterfactual runs the same workload with escalation disabled; comparing
-the two ledgers gives the cost ratio.
+network in a single pass: in-process ``mem://`` addresses by default, or,
+for integration runs, one loopback ``HostServer`` per node, bound before
+any node is built so that every node gets its final address. It generates
+a seeded workload, executes it in order on a single logical worker, and
+records one metrics row per query. The natural-language-only counterfactual
+runs the same workload with escalation disabled; comparing the two ledgers
+gives the cost ratio.
 
 Included scenario presets:
   * the two-agent walkthrough (natural language, failed suitability check,
@@ -35,7 +37,7 @@ from .runtime import Agent, AgentConfig, EscalationThresholds, ToolDescriptor
 from .scripted import DEMO_MODEL_ID, ScriptedBackend, calibrated_usage_profile
 from .serve import HostServer
 from .transport import Network
-from .workload import QueryTask, WorkloadSpec, generate_workload, user_facing_types
+from .workload import QueryTask, WorkloadSpec, generate_workload, user_facing_types, user_id
 
 MODELS = ("gpt-4o", "llama-3-405b", "gemini-1.5-pro")
 
@@ -93,7 +95,6 @@ class ScenarioConfig:
     types_per_user: int = 3
     task_filter: tuple[str, ...] = ()       # restrict workload to these types
     thresholds: EscalationThresholds = field(default_factory=EscalationThresholds)
-    routine_after_uses: int = 2
     share_period: int = 10
     transport: str = "inprocess"            # inprocess | http
     failure_rate: float = 0.0
@@ -163,6 +164,25 @@ class ScenarioResult:
         return tuple(r.signature() for r in self.records)
 
 
+class _NetworkHost:
+    """The host the network registers under *name*, looked up per request,
+    so that a socket can be bound before its host exists."""
+
+    def __init__(self, network: Network, name: str):
+        self.network = network
+        self.name = name
+
+    def handle_request(self, *request) -> tuple[int, str, str]:
+        return self.network.host(self.name).handle_request(*request)
+
+
+def servers_by_type(server_replicas: int) -> dict[str, list[str]]:
+    """The server topology: each task type mapped to the ids of the servers
+    hosting it, one per replica, in replica order."""
+    return {task_type: [f"{kind}-{replica}" for replica in range(1, server_replicas + 1)]
+            for kind, types in SERVER_KINDS.items() for task_type in types}
+
+
 class Scenario:
     """A wired network of agents and registries, ready to execute tasks."""
 
@@ -172,10 +192,12 @@ class Scenario:
         self.ledger = CostLedger(dict(config.prices))
         self.registries: list[RegistryStore] = []
         self.agents: dict[str, Agent] = {}
-        self.servers_by_type: dict[str, list[str]] = {}
         self._servers: list[HostServer] = []
-        self._addresses: dict[str, str] = {}
-        self._build()
+        try:
+            self._build()
+        except BaseException:
+            self.close()
+            raise
 
     # -- construction ----------------------------------------------------
 
@@ -183,38 +205,32 @@ class Scenario:
         cfg = self.config
         peer_map = cfg.registry_peers
         registry_ids = sorted(peer_map)
+        hosted = servers_by_type(cfg.server_replicas)
+        # Each replica's servers in kind order: svc-a-1, svc-b-1, ..., svc-a-2, ...
+        server_ids = list(dict.fromkeys(s for replica in zip(*hosted.values()) for s in replica))
+        user_ids = [user_id(i) for i in range(cfg.n_users)]
+        agent_ids = server_ids + user_ids
 
-        server_ids: list[str] = []
-        kind_of: dict[str, str] = {}
-        for replica in range(1, cfg.server_replicas + 1):
-            for kind, types in SERVER_KINDS.items():
-                server_id = f"{kind}-{replica}"
-                server_ids.append(server_id)
-                kind_of[server_id] = kind
-                for task_type in types:
-                    self.servers_by_type.setdefault(task_type, []).append(server_id)
-        user_ids = [f"user-{i + 1:02d}" for i in range(cfg.n_users)]
-
-        self._addresses = {name: f"mem://{name}" for name in
-                           registry_ids + server_ids + user_ids}
+        names = registry_ids + agent_ids
+        if cfg.transport == "http":
+            self._servers = [HostServer(_NetworkHost(self.network, name)) for name in names]
+            addresses = {name: server.url for name, server in zip(names, self._servers)}
+        else:
+            addresses = {name: f"mem://{name}" for name in names}
 
         for rid in registry_ids:
-            peers = tuple(self._addresses[p] for p in peer_map[rid])
-            registry = RegistryStore(rid, self.network, peers=peers,
-                                     share_period=cfg.share_period)
+            peers = tuple(addresses[p] for p in peer_map[rid])
+            registry = RegistryStore(rid, self.network, peers=peers)
             self.registries.append(registry)
             self.network.register(rid, registry)
 
         thresholds = (EscalationThresholds.unlimited()
                       if cfg.mode == MODE_NL_ONLY else cfg.thresholds)
 
-        all_ids = server_ids + user_ids
-        for index, agent_id in enumerate(all_ids):
-            is_server = agent_id in kind_of
-            if is_server:
-                kind = kind_of[agent_id]
-                replica = agent_id.rsplit("-", 1)[1]
-                tools, impl_names, externals = self._server_tools(kind, replica)
+        for index, agent_id in enumerate(agent_ids):
+            if agent_id in server_ids:
+                kind, replica = agent_id.rsplit("-", 1)
+                tools, impl_names, externals = self._server_tools(kind, int(replica), hosted)
                 model_id = _KIND_MODELS[kind]
             else:
                 tools, impl_names, externals = (), (), ()
@@ -222,13 +238,11 @@ class Scenario:
 
             config = AgentConfig(
                 agent_id=agent_id,
-                role="server" if is_server else "user",
                 model_id=model_id,
                 thresholds=thresholds,
                 tools=tools,
-                known_peers={p: self._addresses[p] for p in all_ids if p != agent_id},
-                registry_url=self._addresses[registry_ids[index % len(registry_ids)]],
-                routine_after_uses=cfg.routine_after_uses,
+                known_peers={p: addresses[p] for p in agent_ids if p != agent_id},
+                registry_url=addresses[registry_ids[index % len(registry_ids)]],
             )
             backend = ScriptedBackend(model_id=model_id, failure_rate=cfg.failure_rate,
                                       failure_seed=cfg.seed + index)
@@ -240,10 +254,11 @@ class Scenario:
             self.agents[agent_id] = agent
             self.network.register(agent_id, agent)
 
-        if cfg.transport == "http":
-            self._switch_to_http(registry_ids)
+        for server in self._servers:
+            server.start_background()
 
-    def _server_tools(self, kind: str, replica: str):
+    @staticmethod
+    def _server_tools(kind: str, replica: int, hosted: dict[str, list[str]]):
         tools: list[ToolDescriptor] = []
         impl_names: list[str] = []
         externals: list[ToolDescriptor] = []
@@ -254,33 +269,12 @@ class Scenario:
                                         description=task.purpose, task_type=task_type))
             impl_names.append(task.primary_tool)
             for raw in task.server_tools:
-                target_kind = next(k for k, ts in SERVER_KINDS.items()
-                                   if raw["task_type"] in ts)
                 descriptor = ToolDescriptor(
                     name=raw["name"], kind="external", description=raw["description"],
-                    task_type=raw["task_type"], peer=f"{target_kind}-{replica}")
+                    task_type=raw["task_type"], peer=hosted[raw["task_type"]][replica - 1])
                 tools.append(descriptor)
                 externals.append(descriptor)
         return tuple(tools), tuple(impl_names), tuple(externals)
-
-    def _switch_to_http(self, registry_ids) -> None:
-        # Re-point every address at a real socket; agents keep the same
-        # Network instance, which routes http:// URLs over the wire.
-        for name in list(self._addresses):
-            host = self.network.host(name)
-            server = HostServer(host)
-            server.start_background()
-            self._servers.append(server)
-            self._addresses[name] = server.url
-        for index, agent in enumerate(self.agents.values()):
-            agent.config.known_peers = {
-                p: self._addresses[p] for p in self._addresses
-                if p in self.agents and p != agent.agent_id}
-            agent.config.registry_url = self._addresses[registry_ids[index % len(registry_ids)]]
-            agent.registry = agent.registry.__class__(self.network, agent.config.registry_url)
-        for registry, rid in zip(self.registries, registry_ids):
-            registry.peers = tuple(self._addresses[p]
-                                   for p in self.config.registry_peers[rid])
 
     def close(self) -> None:
         for server in self._servers:
@@ -332,11 +326,7 @@ class Scenario:
 
 
 def build_workload(config: ScenarioConfig) -> tuple[list[QueryTask], dict[str, list[str]]]:
-    servers_by_type: dict[str, list[str]] = {}
-    for replica in range(1, config.server_replicas + 1):
-        for kind, types in SERVER_KINDS.items():
-            for task_type in types:
-                servers_by_type.setdefault(task_type, []).append(f"{kind}-{replica}")
+    hosted = servers_by_type(config.server_replicas)
     spec = WorkloadSpec(
         seed=config.seed,
         n_users=config.n_users,
@@ -344,7 +334,7 @@ def build_workload(config: ScenarioConfig) -> tuple[list[QueryTask], dict[str, l
         types_per_user=config.types_per_user,
         task_types=config.task_filter or tuple(t for t in user_facing_types()),
     )
-    return generate_workload(spec, servers_by_type), servers_by_type
+    return generate_workload(spec, hosted), hosted
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -412,9 +402,9 @@ def run_two_agent_demo(protocol_uses: int = 10, nl_exchanges: int = 5,
     network.register("db1", registry)
     addresses = {"alice": "mem://alice", "bob": "mem://bob"}
 
-    def make_agent(agent_id, role, tools, impls):
+    def make_agent(agent_id, tools, impls):
         config = AgentConfig(
-            agent_id=agent_id, role=role, model_id=model_id,
+            agent_id=agent_id, model_id=model_id,
             thresholds=EscalationThresholds.unlimited(),   # the walkthrough drives phases itself
             tools=tools,
             known_peers={p: a for p, a in addresses.items() if p != agent_id},
@@ -427,8 +417,8 @@ def run_two_agent_demo(protocol_uses: int = 10, nl_exchanges: int = 5,
         return agent
 
     weather = catalog.CATALOG["weather"]
-    alice = make_agent("alice", "user", (), {})
-    make_agent("bob", "server",
+    alice = make_agent("alice", (), {})
+    make_agent("bob",
                (ToolDescriptor("weather_db", "database", weather.purpose, "weather"),),
                {"weather_db": catalog.MOCK_TOOLS["weather_db"]})
 

@@ -1,10 +1,10 @@
 """Seeded heavy-tailed workload generation.
 
-Each user draws a query budget from a Pareto distribution (shape 0.5 by
-default), adapted so everyone gets at least one query and rescaled to the
-scenario's total query cap. A budget is then split across three randomly
-chosen task types with Pareto(1) weights and a minimum of one query per
-type (fewer types when the budget is below three). The resulting tasks are
+Each user draws a query budget from a Pareto distribution (shape 0.5),
+adapted so everyone gets at least one query and rescaled to the scenario's
+total query cap. A budget is then split across three randomly chosen task
+types with Pareto(1) weights and a minimum of one query per type (fewer
+types when the budget is below three). The resulting tasks are
 interleaved by a seeded shuffle, so a (spec, seed) pair fully determines
 the task list.
 """
@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 from . import catalog
 
+BUDGET_PARETO_SHAPE = 0.5
+SPLIT_PARETO_SHAPE = 1.0
+MIN_QUERIES_PER_USER = 1
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     seed: int = 0
     n_users: int = 17
     total_query_cap: int = 200
-    budget_pareto_shape: float = 0.5
-    split_pareto_shape: float = 1.0
-    min_queries_per_user: int = 1
     types_per_user: int = 3
     task_types: tuple[str, ...] = ()   # empty: every user-facing catalog type
 
@@ -40,7 +41,11 @@ class QueryTask:
     target_server_id: str
     task_type: str
     payload: dict
-    expected_schema: dict
+
+
+def user_id(index: int) -> str:
+    """The id of the *index*-th user, counting from 0: user-01, user-02, ..."""
+    return f"user-{index + 1:02d}"
 
 
 def pareto_sample(rng: random.Random, shape: float, minimum: float = 1.0) -> float:
@@ -65,11 +70,11 @@ def _rebalance(counts: list[int], target: int, minimum: int = 1) -> list[int]:
 def draw_budgets(rng: random.Random, spec: WorkloadSpec) -> list[int]:
     """Per-user query budgets: Pareto draws, floored at one query each, then
     rescaled to the total cap."""
-    raw = [max(spec.min_queries_per_user, math.floor(pareto_sample(rng, spec.budget_pareto_shape)))
+    raw = [max(MIN_QUERIES_PER_USER, math.floor(pareto_sample(rng, BUDGET_PARETO_SHAPE)))
            for _ in range(spec.n_users)]
     factor = spec.total_query_cap / sum(raw)
-    scaled = [max(spec.min_queries_per_user, math.floor(b * factor)) for b in raw]
-    return _rebalance(scaled, spec.total_query_cap, spec.min_queries_per_user)
+    scaled = [max(MIN_QUERIES_PER_USER, math.floor(b * factor)) for b in raw]
+    return _rebalance(scaled, spec.total_query_cap, MIN_QUERIES_PER_USER)
 
 
 def split_budget(rng: random.Random, budget: int, pool: list[str],
@@ -80,7 +85,7 @@ def split_budget(rng: random.Random, budget: int, pool: list[str],
     chosen = rng.sample(pool, k)
     if budget <= k:
         return [(t, 1) for t in chosen[:budget]]
-    weights = [pareto_sample(rng, spec.split_pareto_shape) for _ in chosen]
+    weights = [pareto_sample(rng, SPLIT_PARETO_SHAPE) for _ in chosen]
     total_w = sum(weights)
     counts = [max(1, math.floor(budget * w / total_w)) for w in weights]
     counts = _rebalance(counts, budget)
@@ -106,17 +111,16 @@ def generate_workload(spec: WorkloadSpec,
     tasks: list[QueryTask] = []
     budgets = draw_budgets(rng, spec)
     for user_index, budget in enumerate(budgets):
-        user_id = f"user-{user_index + 1:02d}"
+        user = user_id(user_index)
         for task_type, count in split_budget(rng, budget, pool, spec):
             task = catalog.CATALOG[task_type]
             target = rng.choice(sorted(servers_by_type[task_type]))
             for _ in range(count):
                 tasks.append(QueryTask(
-                    user_id=user_id,
+                    user_id=user,
                     target_server_id=target,
                     task_type=task_type,
                     payload=task.make_payload(rng),
-                    expected_schema=task.output_schema,
                 ))
     rng.shuffle(tasks)
     return tasks

@@ -30,13 +30,12 @@ class World:
         self.network.register("db1", self.registry)
         self.agents: dict[str, Agent] = {}
 
-    def add_agent(self, agent_id: str, role: str = "user", tools=(), impls=None,
+    def add_agent(self, agent_id: str, tools=(), impls=None,
                   thresholds: EscalationThresholds | None = None,
                   backend: ScriptedBackend | None = None,
                   registry_url: str | None = "mem://db1", **config_kw) -> Agent:
         config = AgentConfig(
             agent_id=agent_id,
-            role=role,
             thresholds=thresholds or EscalationThresholds(),
             tools=tuple(tools),
             known_peers={},
@@ -56,7 +55,7 @@ class World:
     def add_weather_server(self, agent_id: str = "bob", **kw) -> Agent:
         weather = catalog.CATALOG["weather"]
         return self.add_agent(
-            agent_id, role="server",
+            agent_id,
             tools=(ToolDescriptor("weather_db", "database", weather.purpose, "weather"),),
             impls={"weather_db": catalog.MOCK_TOOLS["weather_db"]},
             **kw,

@@ -1,6 +1,7 @@
 """Endpoint conformance over real sockets."""
 
 import json
+import socket
 
 import pytest
 import requests
@@ -24,7 +25,7 @@ def agent_server():
     network = Network()
     weather = catalog.CATALOG["weather"]
     config = AgentConfig(
-        agent_id="bob", role="server",
+        agent_id="bob",
         tools=(ToolDescriptor("weather_db", "database", weather.purpose, "weather"),),
     )
     agent = Agent(config, ScriptedBackend(), CostLedger(), network,
@@ -110,3 +111,27 @@ class TestRegistryEndpoint:
         from agentmesh.documents import verify_document
         text = network.fetch_text(f"{server.url}/pd/{WEATHER_HASH}")
         assert verify_document(text, WEATHER_HASH).raw_text == WEATHER_TEXT
+
+
+class TestMalformedRequests:
+    """A request whose body cannot be read gets a 400, and the server keeps
+    serving."""
+
+    @staticmethod
+    def _raw_request(port: int, head: str, body: bytes = b"") -> bytes:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(head.encode("ascii") + b"\r\n" + body)
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        return reply
+
+    @pytest.mark.parametrize("length, body", [("abc", b""), ("-5", b""), ("2", b"\xff\xfe")],
+                             ids=["not-a-number", "negative", "not-utf8"])
+    def test_bad_body_gets_400(self, registry_server, length, body):
+        server, _ = registry_server
+        head = f"GET /pd HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {length}\r\n"
+        reply = self._raw_request(server.port, head, body)
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert requests.get(server.url + "/pd", timeout=10).status_code == 200

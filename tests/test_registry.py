@@ -7,6 +7,7 @@ import pytest
 from agentmesh import catalog
 from agentmesh.documents import compute_hash
 from agentmesh.registry import RegistryClient, RegistryIntegrityError, RegistryStore
+from agentmesh.serve import HostServer
 from agentmesh.transport import Network, NotFound
 from conftest import WEATHER_TEXT
 
@@ -79,6 +80,42 @@ class TestQuery:
 
     def test_empty_filter_lists_all(self, network):
         assert len(self._loaded(network).query("")) == 2
+
+
+CPP_TEXT = ("Name: C++ Build Protocol\n"
+            "Description: Compile a C++ target and report whether the build passed.\n\n"
+            "The request body is a JSON object naming the target.\n")
+CSHARP_TEXT = ("Name: C# Interop Protocol\n"
+               "Description: Call a method of a .NET assembly.\n\n"
+               "The request body is a JSON object naming the method.\n")
+
+
+class TestClientQuery:
+    """The client's keyword reaches the registry as typed, over either scheme."""
+
+    @pytest.fixture(params=["mem", "http"])
+    def client(self, request, network):
+        store = RegistryStore("db1", network)
+        network.register("db1", store)
+        for text in (WEATHER_TEXT, CPP_TEXT, CSHARP_TEXT):
+            store.submit(text)
+        if request.param == "mem":
+            yield RegistryClient(network, "mem://db1")
+            return
+        server = HostServer(store)
+        server.start_background()
+        try:
+            yield RegistryClient(network, server.url)
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("keyword, names", [
+        ("c++", ["C++ Build Protocol"]),
+        ("#", ["C# Interop Protocol"]),
+        ("build protocol", ["C++ Build Protocol"]),
+    ])
+    def test_keyword_matches_as_typed(self, client, keyword, names):
+        assert [name for _, name, _ in client.query(keyword)] == names
 
 
 class TestSharing:

@@ -485,7 +485,7 @@ class TestSynthesis:
 class TestConfigValidation:
     def test_external_tool_must_name_known_peer(self, world):
         config = AgentConfig(
-            agent_id="broken", role="server",
+            agent_id="broken",
             tools=(ToolDescriptor("ext", "external", task_type="weather", peer="ghost"),),
         )
         with pytest.raises(ValueError, match="unknown peer"):

@@ -2,13 +2,16 @@
 determinism, and report emission."""
 
 import csv
+import gc
 import os
+import warnings
+from dataclasses import replace
 
 import pytest
 
 from agentmesh.gateway import Activity
-from agentmesh.simulator import (ScenarioConfig, break_even_point,
-                                 emit_report, run_chain_demo, run_paired,
+from agentmesh.simulator import (Scenario, ScenarioConfig, break_even_point,
+                                 build_workload, emit_report, run_chain_demo, run_paired,
                                  run_scenario, run_two_agent_demo, window_average)
 
 DESK = ScenarioConfig(seed=13)
@@ -234,9 +237,43 @@ class TestWindowAverage:
 
 
 class TestHttpTransportMode:
+    CONFIG = ScenarioConfig(name="http", seed=3, n_users=2, total_queries=8, transport="http")
+
     def test_small_scenario_over_real_sockets(self):
-        config = ScenarioConfig(name="http", seed=3, n_users=2, total_queries=8,
-                                transport="http")
-        result = run_scenario(config)
+        result = run_scenario(self.CONFIG)
         assert len(result.records) == 8
         assert all(r.status == "success" for r in result.records)
+        in_process = run_scenario(replace(self.CONFIG, transport="inprocess"))
+        assert result.signature() == in_process.signature()
+
+    def test_every_address_is_a_socket(self):
+        scenario = Scenario(self.CONFIG)
+        try:
+            addresses = [url for registry in scenario.registries for url in registry.peers]
+            for agent in scenario.agents.values():
+                addresses += [*agent.config.known_peers.values(),
+                              agent.config.registry_url, agent.registry.base_url]
+            assert addresses
+            assert all(url.startswith("http://127.0.0.1:") for url in addresses), addresses
+        finally:
+            scenario.close()
+
+    def test_failed_build_closes_its_sockets(self):
+        config = replace(self.CONFIG, registry_peers={"db1": ("db9",)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(KeyError):
+                Scenario(config)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestTopology:
+    def test_workload_targets_servers_that_host_the_task(self):
+        tasks, hosted = build_workload(SMALL)
+        scenario = Scenario(SMALL)
+        for task in tasks:
+            assert task.target_server_id in hosted[task.task_type]
+            server = scenario.agents[task.target_server_id]
+            assert task.task_type in {tool.task_type for tool in server.config.tools}
+            assert task.user_id in scenario.agents
