@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .transport import connect_failed
+
 
 class Message(NamedTuple):
     """One role-tagged message of a conversation."""
@@ -214,10 +216,23 @@ class LiveChatBackend(CompletionBackend):
             "messages": [{"role": role, "content": content} for role, content in conversation],
         }
         headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
-        last_error: Exception | None = None
+        last_error: object = None
         for attempt in range(self.attempts):
+            if attempt:
+                time.sleep(self.backoff)
             try:
                 resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
+            except requests.RequestException as exc:
+                # A completion the endpoint received may be billed, so only a
+                # request that never left is sent again.
+                if not connect_failed(exc):
+                    raise BackendError(f"completion request failed: {exc}") from exc
+                last_error = exc
+                continue
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last_error = f"HTTP {resp.status_code}"
+                continue
+            try:
                 resp.raise_for_status()
                 data = resp.json()
                 reply = data["choices"][0]["message"]["content"]
@@ -225,9 +240,7 @@ class LiveChatBackend(CompletionBackend):
                 prompt_tokens = int(usage.get("prompt_tokens",
                                               sum(count_tokens(m.content) for m in conversation)))
                 completion_tokens = int(usage.get("completion_tokens", count_tokens(reply)))
-                return reply, TokenUsage(prompt_tokens, completion_tokens)
-            except Exception as exc:  # noqa: BLE001 - every transport error is retryable here
-                last_error = exc
-                if attempt + 1 < self.attempts:
-                    time.sleep(self.backoff)
+            except (requests.HTTPError, ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise BackendError(f"completion request failed: {exc}") from exc
+            return reply, TokenUsage(prompt_tokens, completion_tokens)
         raise BackendError(f"completion request failed after {self.attempts} attempts: {last_error}")

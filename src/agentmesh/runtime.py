@@ -24,7 +24,7 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .documents import (DocumentError, ProtocolDocument, TamperError,
                         compute_hash, extract_worked_example, parse_document,
@@ -211,6 +211,11 @@ class AgentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AgentConfig":
+        """Build from a ``serve-agent`` config. Raises ValueError on a key
+        that is neither a field nor ``backend``, which the CLI reads."""
+        unknown = set(raw) - {f.name for f in fields(cls)} - {"backend"}
+        if unknown:
+            raise ValueError(f"unknown agent config keys: {', '.join(sorted(unknown))}")
         thresholds = EscalationThresholds(**raw.get("thresholds", {}))
         tools = tuple(ToolDescriptor(**t) for t in raw.get("tools", []))
         return cls(

@@ -277,6 +277,9 @@ class Scenario:
         return tuple(tools), tuple(impl_names), tuple(externals)
 
     def close(self) -> None:
+        # The client's kept-alive connections first, so that the servers'
+        # handler threads see EOF; then one short poll per server.
+        self.network.close()
         for server in self._servers:
             server.shutdown()
 

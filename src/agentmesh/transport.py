@@ -4,7 +4,8 @@ Hosts (agents, registries) implement ``handle_request(method, path, query,
 body, sender_id)`` returning ``(status, content_type, text)``. A Network
 routes client calls either to registered in-process hosts (``mem://name``
 URLs, the deterministic default for simulations) or over real HTTP(S) via
-requests, with bounded retries on transport errors.
+one requests session per Network, which keeps connections open between
+calls. A request is retried only when it never reached the peer.
 
 Deployments use HTTPS; plain HTTP and the mem scheme exist for tests and
 simulation.
@@ -12,6 +13,8 @@ simulation.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from typing import Protocol
 from urllib.parse import parse_qsl, urlsplit
@@ -25,6 +28,20 @@ class TransportError(Exception):
 
 class NotFound(TransportError):
     """The peer answered 404."""
+
+
+def connect_failed(exc: Exception) -> bool:
+    """True when *exc*, raised by requests, shows that the request never
+    left this host: the connection to the peer, or to its proxy, was refused
+    or timed out. Any later failure may follow a request the peer received,
+    and a POST must not be applied twice (RFC 9110 §9.2.2)."""
+    from urllib3.exceptions import ConnectTimeoutError, ProxyError
+
+    reason = getattr(exc.args[0] if exc.args else None, "reason", None)
+    if isinstance(reason, ProxyError):
+        reason = reason.original_error
+    # urllib3's NewConnectionError (refused, unresolvable) is a ConnectTimeoutError.
+    return isinstance(reason, ConnectTimeoutError)
 
 
 class WireHost(Protocol):
@@ -41,6 +58,9 @@ class Network:
         self.backoff = backoff
         self.timeout = timeout
         self._hosts: dict[str, WireHost] = {}
+        self._lock = threading.Lock()
+        self._session = None
+        self._origins: dict[str, dict] = {}
 
     def register(self, name: str, host: WireHost) -> None:
         self._hosts[name] = host
@@ -56,7 +76,7 @@ class Network:
         if parts.scheme == "mem":
             return self._request_local(method, parts, body, sender_id)
         if parts.scheme in ("http", "https"):
-            return self._request_http(method, url, body, sender_id)
+            return self._request_http(method, url, parts, body, sender_id)
         raise TransportError(f"unsupported URL scheme: {url!r}")
 
     def _request_local(self, method, parts, body, sender_id) -> tuple[int, str]:
@@ -67,23 +87,67 @@ class Network:
         status, _ctype, text = host.handle_request(method, parts.path or "/", query, body, sender_id)
         return status, text
 
-    def _request_http(self, method, url, body, sender_id) -> tuple[int, str]:
+    def _request_http(self, method, url, parts, body, sender_id) -> tuple[int, str]:
         import requests
 
+        session, settings = self._http_state(f"{parts.scheme}://{parts.netloc}")
         headers = {"Content-Type": "application/json"}
         if sender_id:
             headers[SENDER_HEADER] = sender_id
-        last_error: Exception | None = None
-        for attempt in range(self.attempts):
+        attempt = 0
+        while True:
+            attempt += 1
             try:
-                resp = requests.request(method, url, data=body.encode("utf-8"),
-                                        headers=headers, timeout=self.timeout)
+                resp = session.request(method, url, data=body.encode("utf-8"), headers=headers,
+                                       timeout=self.timeout, **settings)
                 return resp.status_code, resp.text
             except requests.RequestException as exc:
-                last_error = exc
-                if attempt + 1 < self.attempts:
-                    time.sleep(self.backoff)
-        raise TransportError(f"request to {url} failed after {self.attempts} attempts: {last_error}")
+                if attempt >= self.attempts or not connect_failed(exc):
+                    raise TransportError(
+                        f"request to {url} failed after {attempt} attempt(s): {exc}") from exc
+            time.sleep(self.backoff)
+
+    def _http_state(self, origin: str):
+        """The session, made on first use, and the proxies, CA bundle and
+        netrc credentials that the environment gives *origin*.
+
+        The session is shared by every thread that uses this Network, the
+        HostServer handler threads included: its urllib3 connection pool is
+        thread-safe, and its cookie jar accepts no cookies, so no request
+        carries a cookie from an earlier answer. The environment is read
+        once per origin (``scheme://host:port``), with the rules requests
+        applies, and passed on every request with ``trust_env`` off, so that
+        no request walks ``os.environ``; a change to the environment during
+        the life of a Network is not seen.
+        """
+        with self._lock:
+            if self._session is None:
+                from http.cookiejar import DefaultCookiePolicy
+
+                import requests
+
+                self._session = requests.Session()
+                self._session.trust_env = False
+                self._session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=()))
+            settings = self._origins.get(origin)
+            if settings is None:
+                from requests.utils import get_environ_proxies, get_netrc_auth
+
+                settings = self._origins[origin] = {
+                    "proxies": get_environ_proxies(origin),
+                    "verify": (os.environ.get("REQUESTS_CA_BUNDLE")
+                               or os.environ.get("CURL_CA_BUNDLE") or True),
+                    "auth": get_netrc_auth(origin),
+                }
+            return self._session, settings
+
+    def close(self) -> None:
+        """Close the kept-alive connections, so that the peers' handler
+        threads see EOF. A later request opens new ones."""
+        with self._lock:
+            session, self._session = self._session, None
+        if session is not None:
+            session.close()
 
     # -- conveniences ---------------------------------------------------
 

@@ -158,6 +158,18 @@ class TestServeCommands:
         code, _, err = run_cli("serve-agent", "no-such-config.json", capsys=capsys)
         assert code == 2
 
+    def test_serve_agent_unknown_key_exit_2(self, tmp_path, capsys, monkeypatch):
+        with open(os.path.join(CONFIGS, "agent_weather.json"), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["registry_ur"] = "http://127.0.0.1:8800"
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        monkeypatch.setattr(HostServer, "serve_forever",
+                            lambda self: pytest.fail("served a misspelt config"))
+        code, _, err = run_cli("serve-agent", str(path), "--port", "0", capsys=capsys)
+        assert code == 2
+        assert "bad agent config" in err and "registry_ur" in err
+
     def test_serve_agent_port_in_use_exit_3(self, tmp_path, capsys):
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))

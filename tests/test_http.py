@@ -2,9 +2,12 @@
 
 import json
 import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
+import urllib3.connection
 
 from agentmesh import catalog
 from agentmesh.documents import compute_hash
@@ -14,7 +17,7 @@ from agentmesh.registry import RegistryStore
 from agentmesh.runtime import BOOTSTRAP_HASH, Agent, AgentConfig, ToolDescriptor
 from agentmesh.scripted import ScriptedBackend
 from agentmesh.serve import HostServer
-from agentmesh.transport import Network
+from agentmesh.transport import Network, TransportError
 from conftest import WEATHER_TEXT
 
 WEATHER_HASH = compute_hash(WEATHER_TEXT)
@@ -135,3 +138,141 @@ class TestMalformedRequests:
         reply = self._raw_request(server.port, head, body)
         assert reply.startswith(b"HTTP/1.1 400 "), reply
         assert requests.get(server.url + "/pd", timeout=10).status_code == 200
+
+    def test_oversized_body_gets_413_unread(self, registry_server):
+        """The body is never sent: an answer at all shows it was not read."""
+        server, _ = registry_server
+        head = "POST /pd HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 1000000000000\r\n"
+        reply = self._raw_request(server.port, head)
+        assert reply.startswith(b"HTTP/1.1 413 "), reply
+        assert b"Connection: close" in reply
+        assert requests.get(server.url + "/pd", timeout=10).status_code == 200
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Counts the TCP connections urllib3 opens."""
+    opened = []
+    connect = urllib3.connection.HTTPConnection.connect
+
+    def counted(self):
+        opened.append(self.port)
+        return connect(self)
+
+    monkeypatch.setattr(urllib3.connection.HTTPConnection, "connect", counted)
+    return opened
+
+
+class _Fixed:
+    """A wire host that answers every request with one text, and counts."""
+
+    def __init__(self, text: str, release: threading.Event | None = None):
+        self.text = text
+        self.release = release
+        self.handled = 0
+
+    def handle_request(self, method, path, query, body, sender_id):
+        self.handled += 1
+        if self.release is not None:
+            self.release.wait(5)
+        return 200, "text/plain", self.text
+
+
+class TestNetworkOverHttp:
+    def test_connection_is_kept_open(self, registry_server, connects):
+        server, _ = registry_server
+        network = Network()
+        try:
+            for _ in range(20):
+                assert network.request("GET", server.url + "/pd")[0] == 200
+        finally:
+            network.close()
+        assert connects == [server.port]
+
+    def test_restarted_server_answers_on_a_new_connection(self):
+        network = Network()
+        first = HostServer(_Fixed("first"))
+        first.start_background()
+        port = first.port
+        try:
+            assert network.request("GET", first.url + "/") == (200, "first")
+        finally:
+            first.shutdown()
+        second = HostServer(_Fixed("second"), port=port)
+        second.start_background()
+        try:
+            assert network.request("GET", second.url + "/") == (200, "second")
+        finally:
+            network.close()
+            second.shutdown()
+
+    def test_post_is_not_replayed_after_a_read_timeout(self):
+        release = threading.Event()
+        host = _Fixed("late", release)
+        server = HostServer(host)
+        server.start_background()
+        network = Network(timeout=0.2, backoff=0.01)
+        try:
+            with pytest.raises(TransportError):
+                network.post_text(server.url + "/pd", "text")
+            assert host.handled == 1
+        finally:
+            release.set()
+            network.close()
+            server.shutdown()
+
+    def test_refused_connection_is_retried(self, connects):
+        network = Network(backoff=0.01)
+        with pytest.raises(TransportError, match="3 attempt"):
+            network.post_text(f"http://127.0.0.1:{_closed_port()}/pd", "text")
+        assert len(connects) == 3
+
+    def test_proxy_environment_is_honoured(self, registry_server, monkeypatch):
+        server, _ = registry_server
+        for name in ("NO_PROXY", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        for name in ("HTTP_PROXY", "http_proxy"):
+            monkeypatch.setenv(name, f"http://127.0.0.1:{_closed_port()}")
+        with pytest.raises(TransportError):
+            Network(backoff=0.01).fetch_text(server.url + "/pd")
+        for name in ("NO_PROXY", "no_proxy"):
+            monkeypatch.setenv(name, "127.0.0.1")
+        network = Network()
+        try:
+            assert network.request("GET", server.url + "/pd")[0] == 200
+        finally:
+            network.close()
+
+    def test_no_cookie_is_kept(self):
+        sent = []
+
+        class SetsCookie(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                sent.append(self.headers.get("Cookie"))
+                self.send_response(200)
+                self.send_header("Set-Cookie", "session=abc; Path=/")
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, fmt, *args):
+                pass
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), SetsCookie)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        network = Network()
+        try:
+            for _ in range(2):
+                network.request("GET", f"http://127.0.0.1:{httpd.server_address[1]}/")
+        finally:
+            network.close()
+            httpd.shutdown()
+            httpd.server_close()
+        assert sent == [None, None]

@@ -12,9 +12,10 @@ from agentmesh.gateway import BackendError, LiveChatBackend, Message, TokenUsage
 class _StubChatServer:
     """Speaks just enough of the chat-completions shape for the client."""
 
-    def __init__(self, fail_first: int = 0, usage: dict | None = None):
+    def __init__(self, fail_first: int = 0, usage: dict | None = None, fail_status: int = 503):
         self.requests: list[dict] = []
         self.fail_remaining = fail_first
+        self.fail_status = fail_status
         self.usage = usage
         stub = self
 
@@ -26,7 +27,7 @@ class _StubChatServer:
                                       "auth": self.headers.get("Authorization")})
                 if stub.fail_remaining > 0:
                     stub.fail_remaining -= 1
-                    self.send_response(503)
+                    self.send_response(stub.fail_status)
                     self.end_headers()
                     return
                 body = {"choices": [{"message": {"content": "stub reply"}}]}
@@ -101,3 +102,14 @@ def test_exhausted_retries_raise():
     finally:
         stub.close()
     assert len(stub.requests) == 3
+
+
+def test_client_error_is_not_retried():
+    stub = _StubChatServer(fail_first=99, fail_status=400)
+    try:
+        backend = LiveChatBackend(stub.url, "k", "m", backoff=0.01)
+        with pytest.raises(BackendError, match="400"):
+            backend.complete(CONVERSATION)
+    finally:
+        stub.close()
+    assert len(stub.requests) == 1

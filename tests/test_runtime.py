@@ -493,7 +493,7 @@ class TestConfigValidation:
 
     def test_from_dict_round_trip(self):
         raw = {
-            "agent_id": "a", "role": "server", "model_id": "gpt-4o",
+            "agent_id": "a", "model_id": "gpt-4o",
             "thresholds": {"use_existing_after": 2, "negotiate_after": 4},
             "tools": [{"name": "weather_db", "kind": "database", "task_type": "weather"}],
             "known_peers": {"b": "mem://b"},

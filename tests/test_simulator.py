@@ -4,6 +4,8 @@ determinism, and report emission."""
 import csv
 import gc
 import os
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -257,6 +259,21 @@ class TestHttpTransportMode:
             assert all(url.startswith("http://127.0.0.1:") for url in addresses), addresses
         finally:
             scenario.close()
+
+    def test_close_is_prompt_and_ends_every_thread(self):
+        before = threading.active_count()
+        scenario = Scenario(self.CONFIG)
+        try:
+            scenario.run(build_workload(self.CONFIG)[0])
+        finally:
+            started = time.perf_counter()
+            scenario.close()
+            closing = time.perf_counter() - started
+        assert closing < 1
+        deadline = time.monotonic() + 2
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
 
     def test_failed_build_closes_its_sockets(self):
         config = replace(self.CONFIG, registry_peers={"db1": ("db9",)})
