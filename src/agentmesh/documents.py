@@ -24,6 +24,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{40}$")
 
@@ -88,7 +89,8 @@ class ProtocolDocument:
 
     ``raw_text`` is the hash input and is preserved verbatim; ``preamble``
     holds the exact leading bytes consumed by metadata/reference parsing, so
-    ``preamble + body == raw_text`` always holds.
+    ``preamble + body == raw_text`` always holds. The digest is computed on
+    first use and kept.
     """
 
     raw_text: str
@@ -97,7 +99,7 @@ class ProtocolDocument:
     body: str = ""
     preamble: str = ""
 
-    @property
+    @cached_property
     def hash(self) -> str:
         return compute_hash(self.raw_text)
 

@@ -122,13 +122,16 @@ class LedgerRecord:
 class CostLedger:
     """Append-only record of priced token usage.
 
-    Appends are serialized so concurrent writers cannot lose records; totals
-    are always the sum of record costs.
+    Appends are serialized so concurrent writers cannot lose records. The
+    total is a running sum, added to under the same lock as each append, so
+    it adds the record costs one by one in record order, as ``summarize``
+    does, and a read costs the same however long the ledger is.
     """
 
     def __init__(self, prices: dict[str, ModelPrice] | None = None):
         self.prices = dict(DEFAULT_PRICES if prices is None else prices)
         self._records: list[LedgerRecord] = []
+        self._total = 0.0
         self._lock = threading.Lock()
 
     def charge(self, model_id: str, usage: TokenUsage, activity: Activity) -> float:
@@ -139,6 +142,7 @@ class CostLedger:
                 + usage.completion_tokens * price.completion_per_million) / 1e6
         with self._lock:
             self._records.append(LedgerRecord(len(self._records), model_id, usage, Activity(activity), cost))
+            self._total += cost
         return cost
 
     def records(self) -> list[LedgerRecord]:
@@ -151,7 +155,8 @@ class CostLedger:
 
     @property
     def total(self) -> float:
-        return sum(r.cost for r in self.records())
+        with self._lock:
+            return self._total
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,6 @@ def summarize(ledger: CostLedger) -> CostSummary:
     """Aggregate a ledger into totals, a per-activity breakdown, and the
     cumulative cost series (one point per record)."""
     records = ledger.records()
-    total = sum(r.cost for r in records)
     activity_totals = {activity.value: 0.0 for activity in Activity}
     model_totals: dict[str, float] = {}
     cumulative = []
@@ -177,6 +181,8 @@ def summarize(ledger: CostLedger) -> CostSummary:
         model_totals[record.model_id] = model_totals.get(record.model_id, 0.0) + record.cost
         running += record.cost
         cumulative.append(running)
+    # The same additions in the same order as the ledger's running total.
+    total = running
     if total > 0:
         percentages = {k: 100.0 * v / total for k, v in activity_totals.items()}
     else:

@@ -3,7 +3,9 @@
 A registry stores protocol documents under their digests, answers metadata
 queries, and periodically pushes its documents to peer registries (the
 simulator triggers a share round every ``ScenarioConfig.share_period``
-executed queries).
+executed queries). A share round is digest-diff anti-entropy (Demers et al.,
+"Epidemic Algorithms for Replicated Database Maintenance", PODC 1987): it
+lists what each peer holds and posts only the documents that peer lacks.
 Content addressing makes replication conflict-free: re-submitting identical
 bytes is a no-op, and receivers re-derive the digest themselves, so a
 tampered copy can never be stored under the original hash.
@@ -12,7 +14,7 @@ Wire surface (implementation-defined, documented in the README):
   POST /pd          raw document text -> digest
   GET  /pd/<hash>   raw document text, 404 when unknown
   GET  /pd?query=kw JSON list of {hash, name, description}
-  POST /share       push all documents to peers -> count transmitted
+  POST /share       push to each peer what it lacks -> count transmitted
 """
 
 from __future__ import annotations
@@ -102,22 +104,32 @@ class RegistryStore:
             return set(self._documents)
 
     def share_with_peers(self) -> int:
-        """Push every stored document to each peer; returns the number of
-        documents transmitted. Unreachable peers are skipped."""
+        """Push to each peer the stored documents its listing lacks; returns
+        the number of documents transmitted. A peer whose listing fails is
+        skipped, and so is the rest of a peer's share once a post fails."""
         if self.network is None:
             return 0
         with self._lock:
-            snapshot = [doc.raw_text for _, doc in sorted(self._documents.items())]
+            snapshot = sorted(self._documents.items())
         transmitted = 0
         for peer in self.peers:
-            for text in snapshot:
+            client = RegistryClient(self.network, peer)
+            try:
+                held = {digest for digest, _, _ in client.query()}
+            except (TransportError, ValueError, LookupError, TypeError) as exc:
+                logger.warning("registry %s: no listing from peer %s (%s)",
+                               self.registry_id, peer, exc)
+                continue
+            for digest, doc in snapshot:
+                if digest in held:
+                    continue
                 try:
-                    self.network.post_text(peer.rstrip("/") + "/pd", text)
-                    transmitted += 1
+                    client.submit(doc.raw_text)
                 except TransportError as exc:
                     logger.warning("registry %s: peer %s unreachable (%s)",
                                    self.registry_id, peer, exc)
                     break
+                transmitted += 1
         return transmitted
 
     # -- wire host --------------------------------------------------------

@@ -5,8 +5,10 @@ same objects that back the in-process transport can be exposed on a real
 socket: POST / for envelopes, GET /.wellknown for discovery, and the
 registry's /pd and /share endpoints.
 
-Connections are kept open between requests (HTTP/1.1). A request body
-larger than ``MAX_BODY_BYTES`` is refused with 413 before it is read.
+Connections are kept open between requests (HTTP/1.1); one that stays
+silent for ``IDLE_TIMEOUT_S`` is closed, which frees its handler thread. A
+request body larger than ``MAX_BODY_BYTES`` is refused with 413 before it is
+read.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .transport import SENDER_HEADER, WireHost
 MAX_BODY_BYTES = 1 << 20
 # How long a stopped server may take to notice; serve_forever polls for it.
 POLL_INTERVAL_S = 0.05
+# How long a handler waits on a silent connection before closing it. Far
+# above the gaps between one client's requests in a simulated run, so that a
+# client seldom sends on a connection the server is just closing.
+IDLE_TIMEOUT_S = 60.0
 
 
 class _BodyTooLarge(ValueError):
@@ -36,6 +42,7 @@ def _make_handler(host: WireHost, quiet: bool):
         # algorithm holds the body back until the client's delayed ACK of
         # the headers, which stalls every request on a kept-alive connection.
         disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
 
         def setup(self):
             super().setup()

@@ -193,6 +193,9 @@ class Scenario:
         self.registries: list[RegistryStore] = []
         self.agents: dict[str, Agent] = {}
         self._servers: list[HostServer] = []
+        # pd_count's cache, keyed on the registries' sizes.
+        self._pd_sizes: tuple[int, ...] = ()
+        self._pd_count = 0
         try:
             self._build()
         except BaseException:
@@ -286,10 +289,17 @@ class Scenario:
     # -- execution ---------------------------------------------------------
 
     def pd_count(self) -> int:
-        hashes: set[str] = set()
-        for registry in self.registries:
-            hashes |= registry.hashes()
-        return len(hashes)
+        """Distinct documents across the registries. A registry never drops
+        a document, so the union can change only when some registry grows;
+        it is recounted only then."""
+        # Sizes first: a document stored meanwhile shows as growth next time.
+        sizes = tuple(len(registry) for registry in self.registries)
+        if sizes != self._pd_sizes:
+            hashes: set[str] = set()
+            for registry in self.registries:
+                hashes |= registry.hashes()
+            self._pd_sizes, self._pd_count = sizes, len(hashes)
+        return self._pd_count
 
     def run_task(self, index: int, task: QueryTask) -> MetricsRecord:
         agent = self.agents[task.user_id]
@@ -300,7 +310,7 @@ class Scenario:
         response, mode = agent.send_task(task.target_server_id, task.task_type,
                                          task.payload, description)
         duration = time.perf_counter() - started
-        cost = self.ledger.total - before_cost
+        cumulative_cost = self.ledger.total
         invocations = len(self.ledger) - before_records
         return MetricsRecord(
             index=index,
@@ -309,8 +319,8 @@ class Scenario:
             task_type=task.task_type,
             mode=mode,
             status=response.status,
-            cost=cost,
-            cumulative_cost=self.ledger.total,
+            cost=cumulative_cost - before_cost,
+            cumulative_cost=cumulative_cost,
             model_invocations=invocations,
             routine_hit=invocations == 0,
             pd_count=self.pd_count(),

@@ -1,6 +1,8 @@
 """Token counting, pricing, the cost ledger, and scripted determinism."""
 
+import functools
 import math
+import operator
 import threading
 
 import pytest
@@ -57,12 +59,27 @@ class TestCharge:
             TokenUsage(-1, 0)
 
 
+def added_in_record_order(ledger: CostLedger) -> float:
+    """The record costs added left to right, as ``sum`` does on Python 3.11
+    (3.12's ``sum`` compensates rounding, so it is not used here)."""
+    return functools.reduce(operator.add, (r.cost for r in ledger.records()), 0.0)
+
+
 class TestLedger:
     def test_total_is_sum_of_records(self):
         ledger = CostLedger()
         costs = [ledger.charge("gpt-4o", TokenUsage(1000 * i, 500), Activity.NATURAL_LANGUAGE)
                  for i in range(1, 6)]
         assert ledger.total == pytest.approx(sum(costs))
+
+    def test_running_total_is_exact_after_mixed_charges(self):
+        ledger = CostLedger()
+        models = ("gpt-4o", "llama-3-405b", "gemini-1.5-pro")
+        for i in range(300):
+            ledger.charge(models[i % 3], TokenUsage(17 * i + 3, 7 * i % 101),
+                          list(Activity)[i % len(Activity)])
+        assert ledger.total == added_in_record_order(ledger)
+        assert summarize(ledger).total == ledger.total
 
     def test_append_only_indexing(self):
         ledger = CostLedger()
@@ -84,6 +101,8 @@ class TestLedger:
             t.join()
         assert len(ledger) == 1600
         assert sorted(r.index for r in ledger.records()) == list(range(1600))
+        assert ledger.total == added_in_record_order(ledger)
+        assert summarize(ledger).total == ledger.total
 
 
 class TestSummarize:

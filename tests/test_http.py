@@ -3,13 +3,14 @@
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
 import urllib3.connection
 
-from agentmesh import catalog
+from agentmesh import catalog, serve
 from agentmesh.documents import compute_hash
 from agentmesh.envelope import parse_wellknown
 from agentmesh.gateway import CostLedger
@@ -276,3 +277,33 @@ class TestNetworkOverHttp:
             httpd.shutdown()
             httpd.server_close()
         assert sent == [None, None]
+
+
+class TestIdleConnections:
+    def test_idle_connection_is_closed_and_its_thread_freed(self, monkeypatch):
+        monkeypatch.setattr(serve, "IDLE_TIMEOUT_S", 0.2)
+        existing = set(threading.enumerate())
+
+        def handlers():
+            return [t for t in threading.enumerate()
+                    if t not in existing and "process_request_thread" in t.name]
+
+        def wait_for(condition):
+            deadline = time.monotonic() + 5
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return condition()
+
+        server = HostServer(_Fixed("fresh"))
+        server.start_background()
+        network = Network()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as idle:
+                assert wait_for(lambda: len(handlers()) == 1)
+                # The server closes its end: EOF, well before the 5 s timeout.
+                assert idle.recv(1) == b""
+                assert wait_for(lambda: not handlers())
+            assert network.request("GET", server.url + "/") == (200, "fresh")
+        finally:
+            network.close()
+            server.shutdown()

@@ -118,6 +118,29 @@ class TestClientQuery:
         assert [name for _, name, _ in client.query(keyword)] == names
 
 
+class _Recording:
+    """Forwards to a wire host and records each request's method and path."""
+
+    def __init__(self, host):
+        self.host = host
+        self.requests = []
+
+    def handle_request(self, method, path, query, body, sender_id):
+        self.requests.append((method, path))
+        return self.host.handle_request(method, path, query, body, sender_id)
+
+
+class _Answers:
+    """A wire host that answers every request with one status and text."""
+
+    def __init__(self, status: int, text: str):
+        self.status = status
+        self.text = text
+
+    def handle_request(self, method, path, query, body, sender_id):
+        return self.status, "text/plain", self.text
+
+
 class TestSharing:
     def test_one_round_reaches_direct_peer_only(self, network):
         registries = chain(network)
@@ -140,6 +163,37 @@ class TestSharing:
 
     def test_unreachable_peer_skipped(self, network):
         store = RegistryStore("db1", network, peers=("mem://gone", "mem://db2"))
+        network.register("db2", RegistryStore("db2", network))
+        store.submit(WEATHER_TEXT)
+        assert store.share_with_peers() == 1
+        assert network.host("db2").get(WEATHER_HASH) is not None
+
+    def test_second_round_with_nothing_new_transmits_nothing(self, network):
+        registries = chain(network)
+        registries["db1"].submit(WEATHER_TEXT)
+        assert registries["db1"].share_with_peers() == 1
+        assert registries["db1"].share_with_peers() == 0
+
+    def test_peer_is_sent_only_what_it_lacks(self, network):
+        store = RegistryStore("db1", network, peers=("mem://db2",))
+        peer = RegistryStore("db2", network)
+        recorder = _Recording(peer)
+        network.register("db2", recorder)
+        store.submit(WEATHER_TEXT)
+        peer.submit(WEATHER_TEXT)
+        assert store.share_with_peers() == 0
+        assert recorder.requests == [("GET", "/pd")]
+        store.submit(catalog.pd_text(catalog.CATALOG["taxi"]))
+        assert store.share_with_peers() == 1
+        assert recorder.requests[1:] == [("GET", "/pd"), ("POST", "/pd")]
+        assert peer.hashes() == store.hashes()
+
+    @pytest.mark.parametrize("failing", ["mem://gone", "mem://broken", "mem://other"],
+                             ids=["unreachable", "5xx", "not-a-listing"])
+    def test_peer_whose_listing_fails_is_skipped(self, network, failing):
+        store = RegistryStore("db1", network, peers=(failing, "mem://db2"))
+        network.register("broken", _Answers(500, "internal error"))
+        network.register("other", _Answers(200, "not json"))
         network.register("db2", RegistryStore("db2", network))
         store.submit(WEATHER_TEXT)
         assert store.share_with_peers() == 1

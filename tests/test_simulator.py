@@ -168,6 +168,22 @@ class TestShareCadence:
         assert sum(per_registry) > distinct > 0
 
 
+class TestPdCount:
+    def test_document_stored_between_queries_is_counted(self):
+        tasks, _ = build_workload(SMALL)
+        scenario = Scenario(SMALL)
+        try:
+            scenario.run_task(0, tasks[0])
+            scenario.run_task(1, tasks[1])
+            probe = scenario.registries[-1].submit("Name: Probe\n\nStored outside any query.\n")
+            record = scenario.run_task(2, tasks[2])
+            stored = set().union(*(registry.hashes() for registry in scenario.registries))
+        finally:
+            scenario.close()
+        assert probe in stored
+        assert record.pd_count == len(stored)
+
+
 class TestChainScenario:
     def test_warm_chain_completes_without_model_calls(self):
         result = run_chain_demo(orders=9)
