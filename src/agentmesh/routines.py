@@ -1,28 +1,33 @@
 """Declarative routines: deterministic handlers bound to one side of a protocol.
 
 A routine is a small spec (input schema, ordered tool invocations, output
-mapping) executed by the interpreter below. Executing a routine never
-touches a completion backend, so exchanges handled by routines on both
-sides cost nothing.
+mapping). Building a ``Routine`` compiles the spec once into a plan of
+closures: the schema check, each step's argument template and the output
+template. ``execute_routine`` then runs that plan, so no request walks the
+spec again. Executing a routine never touches a completion backend, so
+exchanges handled by routines on both sides cost nothing.
 
 Templates reference earlier values with ``$``-paths: ``$input.date`` is the
 ``date`` field of the (JSON-decoded) request body, ``$wx.temperature``
-descends into the result a step bound to ``wx``. A string that does not
-start with ``$`` is a literal.
+descends into the result a step bound to ``wx``. A string that starts with
+``$$`` stands for the literal text after the first ``$``; any other string
+that does not start with ``$`` is a literal.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 SENDER = "sender"
 RECEIVER = "receiver"
 SIDES = (SENDER, RECEIVER)
 
 ToolRunner = Callable[[dict], Any]
+Resolver = Callable[[Mapping], Any]
 
 
 class RoutineError(Exception):
@@ -53,11 +58,21 @@ class RoutineStep:
 
 @dataclass(frozen=True)
 class Routine:
+    """A routine spec plus the plan compiled from it when it is built.
+
+    The plan reads the spec's templates and schema once, at construction;
+    mutating them afterwards does not change what the routine executes."""
+
     protocol_hash: str
     side: str
     input_schema: dict
     steps: tuple[RoutineStep, ...] = ()
     output_template: Any = field(default_factory=dict)
+    _plan: Callable[[Any, Mapping[str, ToolRunner]], str] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_plan", _compile_routine(self))
 
     def to_spec(self) -> dict:
         return {
@@ -73,7 +88,8 @@ class Routine:
 
 
 def routine_from_spec(spec: dict | str) -> Routine:
-    """Parse and validate a routine spec (dict or JSON text)."""
+    """Parse and validate a routine spec (dict or JSON text). Every
+    malformed spec raises RoutineSpecError."""
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
@@ -85,8 +101,16 @@ def routine_from_spec(spec: dict | str) -> Routine:
         side = spec["side"]
         if side not in SIDES:
             raise RoutineSpecError(f"side must be one of {SIDES}, got {side!r}")
+        input_schema = spec.get("input", {})
+        if not isinstance(input_schema, dict):
+            raise RoutineSpecError("routine input schema must be an object")
+        raw_steps = spec.get("steps", [])
+        if not isinstance(raw_steps, list):
+            raise RoutineSpecError("routine steps must be a list")
         steps = []
-        for raw in spec.get("steps", []):
+        for raw in raw_steps:
+            if not isinstance(raw, dict):
+                raise RoutineSpecError("each routine step must be an object")
             if not isinstance(raw.get("args", {}), dict):
                 raise RoutineSpecError("step args must be an object")
             steps.append(RoutineStep(
@@ -97,7 +121,7 @@ def routine_from_spec(spec: dict | str) -> Routine:
         return Routine(
             protocol_hash=spec["protocol_hash"],
             side=side,
-            input_schema=dict(spec.get("input", {})),
+            input_schema=dict(input_schema),
             steps=tuple(steps),
             output_template=spec.get("output", {}),
         )
@@ -117,53 +141,118 @@ _TYPE_CHECKS = {
 }
 
 
+def _compile_schema(schema: dict) -> Callable[[Any], None]:
+    """Compile a minimal object schema (required keys plus per-property
+    type names) into a check that raises RoutineInputError on violation.
+    A schema of the wrong shape raises RoutineSpecError."""
+    if not isinstance(schema, dict):
+        raise RoutineSpecError("routine input schema must be an object")
+    required = schema.get("required", [])
+    if not isinstance(required, list) or not all(isinstance(k, str) for k in required):
+        raise RoutineSpecError("schema 'required' must be a list of field names")
+    properties = schema.get("properties", {})
+    if not isinstance(properties, dict):
+        raise RoutineSpecError("schema 'properties' must be an object")
+    typed = []
+    for key, prop in properties.items():
+        if not isinstance(prop, dict):
+            raise RoutineSpecError(f"schema property {key!r} must be an object")
+        expected = prop.get("type")
+        if expected is not None and not isinstance(expected, str):
+            raise RoutineSpecError(f"schema property {key!r} has a type that is not a name")
+        check = _TYPE_CHECKS.get(expected)
+        if check is not None:
+            typed.append((key, check, expected))
+    required = tuple(required)
+    typed = tuple(typed)
+
+    def validate(value: Any) -> None:
+        if not isinstance(value, dict):
+            raise RoutineInputError("request body must decode to a JSON object")
+        for key in required:
+            if key not in value:
+                raise RoutineInputError(f"missing required field: {key}")
+        for key, check, expected in typed:
+            if key in value and not check(value[key]):
+                raise RoutineInputError(f"field {key!r} is not of type {expected}")
+    return validate
+
+
 def validate_input(schema: dict, value: dict) -> None:
     """Check *value* against a minimal object schema (required keys plus
     per-property type names). Raises RoutineInputError on violation."""
-    if not isinstance(value, dict):
-        raise RoutineInputError("request body must decode to a JSON object")
-    for key in schema.get("required", []):
-        if key not in value:
-            raise RoutineInputError(f"missing required field: {key}")
-    for key, prop in schema.get("properties", {}).items():
-        if key not in value:
-            continue
-        expected = prop.get("type")
-        check = _TYPE_CHECKS.get(expected)
-        if check is not None and not check(value[key]):
-            raise RoutineInputError(f"field {key!r} is not of type {expected}")
+    _compile_schema(schema)(value)
 
 
 # ── template resolution ──────────────────────────────────────────────
 
-def _lookup(path: str, bindings: Mapping[str, Any]) -> Any:
-    parts = path.split(".")
-    if parts[0] not in bindings:
-        raise RoutineExecutionError(f"unknown binding in reference: ${path}")
-    value = bindings[parts[0]]
-    for part in parts[1:]:
-        if isinstance(value, Mapping) and part in value:
-            value = value[part]
-        else:
-            raise RoutineExecutionError(f"cannot resolve ${path}: no field {part!r}")
-    return value
+def _compile_reference(path: str) -> Resolver:
+    head, *fields = path.split(".")
+
+    def lookup(bindings: Mapping) -> Any:
+        if head not in bindings:
+            raise RoutineExecutionError(f"unknown binding in reference: ${path}")
+        value = bindings[head]
+        for part in fields:
+            # Values are decoded JSON, so the exact-type test almost always
+            # decides; the ABC test keeps other mappings working.
+            if (type(value) is dict or isinstance(value, Mapping)) and part in value:
+                value = value[part]
+            else:
+                raise RoutineExecutionError(f"cannot resolve ${path}: no field {part!r}")
+        return value
+    return lookup
+
+
+def _compile_template(template: Any) -> Resolver:
+    """Compile *template* once into a function of the bindings that
+    builds the resolved value, raising RoutineExecutionError on a bad
+    reference."""
+    if isinstance(template, str):
+        if template.startswith("$$"):
+            literal = template[1:]
+            return lambda bindings: literal
+        if template.startswith("$"):
+            return _compile_reference(template[1:])
+        return lambda bindings: template
+    if isinstance(template, dict):
+        items = tuple((k, _compile_template(v)) for k, v in template.items())
+        return lambda bindings: {k: resolve(bindings) for k, resolve in items}
+    if isinstance(template, list):
+        parts = tuple(_compile_template(v) for v in template)
+        return lambda bindings: [resolve(bindings) for resolve in parts]
+    return lambda bindings: template
 
 
 def resolve_template(template: Any, bindings: Mapping[str, Any]) -> Any:
-    if isinstance(template, str):
-        if template.startswith("$$"):
-            return template[1:]
-        if template.startswith("$"):
-            return _lookup(template[1:], bindings)
-        return template
-    if isinstance(template, dict):
-        return {k: resolve_template(v, bindings) for k, v in template.items()}
-    if isinstance(template, list):
-        return [resolve_template(v, bindings) for v in template]
-    return template
+    return _compile_template(template)(bindings)
 
 
 # ── execution ────────────────────────────────────────────────────────
+
+def _compile_routine(routine: Routine) -> Callable[[Any, Mapping[str, ToolRunner]], str]:
+    validate = _compile_schema(routine.input_schema)
+    steps = []
+    for step in routine.steps:
+        if not isinstance(step.tool, str) or not isinstance(step.bind, str):
+            raise RoutineSpecError("step tool and bind must be strings")
+        steps.append((step.tool, _compile_template(step.args), step.bind))
+    steps = tuple(steps)
+    output = _compile_template(routine.output_template)
+
+    def run(parsed: Any, tools: Mapping[str, ToolRunner]) -> str:
+        validate(parsed)
+        bindings: dict[str, Any] = {"input": parsed}
+        for tool, args, bind in steps:
+            if tool not in tools:
+                raise RoutineExecutionError(f"routine references unknown tool {tool!r}")
+            bindings[bind] = tools[tool](args(bindings))
+        result = output(bindings)
+        if isinstance(result, str):
+            return result
+        return json.dumps(result)
+    return run
+
 
 def execute_routine(routine: Routine, body: str, tools: Mapping[str, ToolRunner]) -> str:
     """Run *routine* on a request body; returns the output body.
@@ -176,19 +265,7 @@ def execute_routine(routine: Routine, body: str, tools: Mapping[str, ToolRunner]
         parsed = json.loads(body)
     except ValueError as exc:
         raise RoutineInputError(f"request body is not valid JSON: {exc}") from exc
-    validate_input(routine.input_schema, parsed)
-
-    bindings: dict[str, Any] = {"input": parsed}
-    for step in routine.steps:
-        if step.tool not in tools:
-            raise RoutineExecutionError(f"routine references unknown tool {step.tool!r}")
-        args = resolve_template(step.args, bindings)
-        bindings[step.bind] = tools[step.tool](args)
-
-    output = resolve_template(routine.output_template, bindings)
-    if isinstance(output, str):
-        return output
-    return json.dumps(output)
+    return routine._plan(parsed, tools)
 
 
 # ── file store ───────────────────────────────────────────────────────

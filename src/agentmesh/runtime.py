@@ -246,7 +246,7 @@ class Agent:
         self._lock = threading.RLock()
         self._documents: dict[str, ProtocolDocument] = {}
         self._routines: dict[tuple[str, str], Routine] = {}
-        self._conversations: dict[str, dict] = {}
+        self._conversations: dict[str, dict | None] = {}   # None once closed
         self._conv_counter = 0
         self._pd_model_uses: dict[str, int] = {}
         self._negotiation_locks: dict[tuple[str, str], threading.Lock] = {}
@@ -301,6 +301,8 @@ class Agent:
     # ── tools ──────────────────────────────────────────────────────────
 
     def bind_tool(self, name: str, impl) -> None:
+        """Bind a tool implementation. Bind before the agent handles
+        requests: routines and model handling read the table uncopied."""
         self._tool_impls[name] = impl
 
     def _external_runner(self, desc: ToolDescriptor):
@@ -314,9 +316,6 @@ class Agent:
             except ValueError:
                 return {"text": resp.body}
         return run
-
-    def _tool_runners(self) -> dict:
-        return dict(self._tool_impls)
 
     def _supports(self, task_type: str) -> bool:
         return any(t.task_type == task_type for t in self.config.tools)
@@ -378,7 +377,7 @@ class Agent:
         routine = self.get_routine(digest, RECEIVER)
         if routine is not None:
             try:
-                out = execute_routine(routine, env.body, self._tool_runners())
+                out = execute_routine(routine, env.body, self._tool_impls)
                 return ResponseEnvelope(STATUS_SUCCESS, out)
             except RoutineError as exc:
                 logger.info("%s: routine for %.8s failed (%s); falling back to model",
@@ -430,7 +429,6 @@ class Agent:
                                   doc.raw_text if doc else None),
             Message("user", body),
         ]
-        runners = self._tool_runners()
         for _ in range(MAX_TOOL_ROUNDS):
             reply, usage = self.backend.complete(conversation)
             self._charge(usage, Activity.NATURAL_LANGUAGE)
@@ -439,9 +437,9 @@ class Agent:
                 return reply
             tool, args = call
             conversation.append(Message("assistant", reply))
-            if tool in runners:
+            if tool in self._tool_impls:
                 try:
-                    result = runners[tool](args)
+                    result = self._tool_impls[tool](args)
                 except Exception as exc:  # noqa: BLE001 - surface tool faults to the model
                     result = {"error": f"tool {tool} failed: {exc}"}
             else:
@@ -466,8 +464,9 @@ class Agent:
             return ResponseEnvelope(STATUS_FAILURE, f"malformed conversation body: {exc}")
 
         with self._lock:
-            conv = self._conversations.get(conv_id)
-            if conv is None:
+            if conv_id in self._conversations:
+                conv = self._conversations[conv_id]
+            else:
                 opening = prompts.parse_opening(message)
                 task_type, task_description, initiator_is_sender = (
                     opening if opening else ("general", message[:80], True))
@@ -478,18 +477,16 @@ class Agent:
                     "peer": from_id,
                     "task_type": task_type,
                     "my_side": my_side,
-                    "done": False,
                 }
                 self._conversations[conv_id] = conv
 
-        if conv["done"]:
+        if conv is None:
             return self._conversation_reply(conv_id, "This conversation is closed.")
 
         conv["messages"].append(Message("user", message))
         block = prompts.extract_finalized(message)
         if block is not None:
-            self._finalize(block, conv["peer"], conv["task_type"], conv["my_side"])
-            conv["done"] = True
+            self._close_conversation(conv_id, conv, block)
             return self._conversation_reply(conv_id, "Acknowledged; the protocol is finalized.")
 
         reply, usage = self.backend.complete(conv["messages"])
@@ -497,9 +494,15 @@ class Agent:
         conv["messages"].append(Message("assistant", reply))
         block = prompts.extract_finalized(reply)
         if block is not None:
-            self._finalize(block, conv["peer"], conv["task_type"], conv["my_side"])
-            conv["done"] = True
+            self._close_conversation(conv_id, conv, block)
         return self._conversation_reply(conv_id, reply)
+
+    def _close_conversation(self, conv_id: str, conv: dict, block: str) -> None:
+        """Finalize the protocol, then keep only a closed marker: a finished
+        negotiation's history is never read again."""
+        self._finalize(block, conv["peer"], conv["task_type"], conv["my_side"])
+        with self._lock:
+            self._conversations[conv_id] = None
 
     @staticmethod
     def _conversation_reply(conv_id: str, message: str) -> ResponseEnvelope:
@@ -710,7 +713,7 @@ class Agent:
             example_input, example_output = example
             expected = example_input if side == SENDER else example_output
             try:
-                produced = execute_routine(routine, json.dumps(example_input), self._tool_runners())
+                produced = execute_routine(routine, json.dumps(example_input), self._tool_impls)
                 if json.loads(produced) != expected:
                     logger.info("%s: routine failed its example (%s side); rejected",
                                 self.agent_id, side)
@@ -792,7 +795,7 @@ class Agent:
         routine = self.get_routine(digest, SENDER)
         if routine is not None:
             try:
-                body = execute_routine(routine, json.dumps(payload), self._tool_runners())
+                body = execute_routine(routine, json.dumps(payload), self._tool_impls)
             except RoutineError as exc:
                 logger.info("%s: sender routine failed (%s); composing with model",
                             self.agent_id, exc)

@@ -1,13 +1,16 @@
 """The routine interpreter: schemas, templates, execution, persistence."""
 
 import json
+from collections.abc import Mapping
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from agentmesh import catalog
 from agentmesh.documents import compute_hash
-from agentmesh.routines import (RoutineExecutionError,
-                                RoutineInputError, RoutineSpecError,
+from agentmesh.routines import (SENDER, Routine, RoutineExecutionError,
+                                RoutineInputError, RoutineSpecError, RoutineStep,
                                 execute_routine, load_routine, resolve_template,
                                 routine_from_spec, save_routine, validate_input)
 
@@ -42,6 +45,31 @@ class TestSpecParsing:
     def test_not_json(self):
         with pytest.raises(RoutineSpecError):
             routine_from_spec("not json at all")
+
+    @pytest.mark.parametrize("extra", [
+        {"input": 5},
+        {"input": [["a", "b"]]},
+        {"steps": 5},
+        {"steps": {"tool": "t"}},
+        {"steps": [5]},
+        {"steps": [{"tool": ["t"], "args": {}}]},
+        {"steps": [{"tool": "t", "args": {}, "bind": 3}]},
+        {"input": {"properties": {"date": 5}}},
+        {"input": {"properties": ["date"]}},
+        {"input": {"properties": {"date": {"type": ["string", "null"]}}}},
+        {"input": {"required": "date"}},
+        {"input": {"required": [["date"]]}},
+    ])
+    def test_every_malformed_spec_is_a_spec_error(self, extra):
+        with pytest.raises(RoutineSpecError):
+            routine_from_spec({"protocol_hash": "x", "side": "sender", **extra})
+
+    def test_replace_recompiles(self, sender_routine):
+        moved = replace(sender_routine, output_template="$input.location")
+        body = json.dumps({"date": "2024-09-27", "location": "London, UK"})
+        assert execute_routine(moved, body, {}) == "London, UK"
+        assert moved != sender_routine
+        assert replace(sender_routine) == sender_routine
 
 
 class TestValidateInput:
@@ -84,6 +112,75 @@ class TestTemplates:
             resolve_template("$input.absent", {"input": {}})
 
 
+# The recursive interpreter that resolved templates on every call before
+# routines were compiled; the compiled resolver must agree with it.
+
+def _reference_lookup(path, bindings):
+    parts = path.split(".")
+    if parts[0] not in bindings:
+        raise RoutineExecutionError(f"unknown binding in reference: ${path}")
+    value = bindings[parts[0]]
+    for part in parts[1:]:
+        if isinstance(value, Mapping) and part in value:
+            value = value[part]
+        else:
+            raise RoutineExecutionError(f"cannot resolve ${path}: no field {part!r}")
+    return value
+
+
+def _reference_resolve(template, bindings):
+    if isinstance(template, str):
+        if template.startswith("$$"):
+            return template[1:]
+        if template.startswith("$"):
+            return _reference_lookup(template[1:], bindings)
+        return template
+    if isinstance(template, dict):
+        return {k: _reference_resolve(v, bindings) for k, v in template.items()}
+    if isinstance(template, list):
+        return [_reference_resolve(v, bindings) for v in template]
+    return template
+
+
+def _outcome(resolve, template, bindings):
+    try:
+        return "value", resolve(template, bindings)
+    except RoutineExecutionError as exc:
+        return "error", str(exc)
+
+
+_NAMES = st.sampled_from(["input", "wx", "cp", "nope"])
+_FIELDS = st.sampled_from(["a", "b", "c", ""])
+_SCALARS = st.none() | st.booleans() | st.integers(-5, 5) | st.text("ab $.", max_size=4)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(_FIELDS, inner, max_size=3), max_leaves=12)
+_REFERENCES = st.builds(lambda head, fields: "$" + ".".join([head, *fields]),
+                        _NAMES, st.lists(_FIELDS, max_size=4))
+_LEAVES = (_SCALARS | _REFERENCES | st.text("ab$.", max_size=4).map(lambda t: "$$" + t)
+           | st.just("$") | st.just("$.a"))
+_TEMPLATES = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(_FIELDS, inner, max_size=3), max_leaves=12)
+_BINDINGS = st.dictionaries(_NAMES.filter(lambda n: n != "nope"), _VALUES, max_size=3)
+
+
+class TestCompiledResolverMatchesInterpreter:
+    @given(_TEMPLATES, _BINDINGS)
+    def test_resolve_template(self, template, bindings):
+        assert (_outcome(resolve_template, template, bindings)
+                == _outcome(_reference_resolve, template, bindings))
+
+    @given(_TEMPLATES, st.dictionaries(_FIELDS, _VALUES, max_size=3))
+    def test_routine_output(self, template, value):
+        def run(output_template, bindings):
+            routine = Routine("h", SENDER, {}, output_template=output_template)
+            return execute_routine(routine, json.dumps(bindings["input"]), {})
+
+        kind, expected = _outcome(_reference_resolve, template, {"input": value})
+        if kind == "value" and not isinstance(expected, str):
+            expected = json.dumps(expected)
+        assert _outcome(run, template, {"input": value}) == (kind, expected)
+
+
 class TestExecution:
     def test_weather_receiver_maps_example(self, receiver_routine):
         body = json.dumps({"date": "2023-10-01", "location": "New York"})
@@ -109,6 +206,19 @@ class TestExecution:
         with pytest.raises(RoutineExecutionError, match="weather_db"):
             execute_routine(receiver_routine,
                             json.dumps({"date": "2023-10-01", "location": "New York"}), {})
+
+    def test_unknown_tool_is_reported_before_its_args(self):
+        routine = Routine("h", SENDER, {}, steps=(RoutineStep("ghost", {"x": "$nope.x"}, "r"),))
+        with pytest.raises(RoutineExecutionError, match="unknown tool 'ghost'"):
+            execute_routine(routine, "{}", {})
+
+    def test_bad_reference_is_reported_before_a_later_unknown_tool(self):
+        routine = Routine("h", SENDER, {}, steps=(
+            RoutineStep("echo", {"x": "$input.absent"}, "r"),
+            RoutineStep("ghost", {}, "s"),
+        ))
+        with pytest.raises(RoutineExecutionError, match=r"cannot resolve \$input.absent"):
+            execute_routine(routine, "{}", {"echo": lambda args: args})
 
     def test_same_input_same_output(self, receiver_routine):
         body = json.dumps({"date": "2024-10-14", "location": "Berlin"})

@@ -291,6 +291,16 @@ class TestNegotiation:
                          if r.activity == Activity.NEGOTIATION)
         assert concurrent == single
 
+    def test_finished_conversation_keeps_no_history(self, world):
+        alice = world.add_agent("alice")
+        bob = world.add_weather_server()
+        alice.negotiate("bob", "weather", "weather", my_side=SENDER)
+        assert list(bob._conversations.values()) == [None]   # a closed marker only
+        late = json.dumps({"conversation_id": "alice-1", "from": "alice", "message": "one more"})
+        resp = bob.dispatch(RequestEnvelope(BOOTSTRAP_HASH, ("builtin:conversation",), late))
+        assert json.loads(resp.body) == {"conversation_id": "alice-1",
+                                         "message": "This conversation is closed."}
+
 
 # ── suitability ──────────────────────────────────────────────────────
 
@@ -459,6 +469,16 @@ class TestSynthesis:
         doc = bob.resolve_protocol(WEATHER_HASH, ())
         assert bob.synthesize_routine(doc, RECEIVER) is None
 
+    @pytest.mark.parametrize("reply", [
+        '{"protocol_hash": "x", "side": "receiver", "input": 5}',
+        '{"protocol_hash": "x", "side": "receiver", "steps": [5]}',
+    ])
+    def test_malformed_spec_rejected(self, world, reply):
+        bob = world.add_weather_server("bob", backend=FixedReplyBackend(reply))
+        world.registry.submit(WEATHER_TEXT)
+        doc = bob.resolve_protocol(WEATHER_HASH, ())
+        assert bob.synthesize_routine(doc, RECEIVER) is None
+
     def test_no_worked_example_registers_unvalidated(self, world, caplog):
         bob = world.add_weather_server()
         text = render_document(
@@ -529,6 +549,21 @@ class TestAgentStores:
         with caplog.at_level("WARNING"):
             agent = world.add_agent("alice", pd_store=str(store))
         assert agent.get_document(WEATHER_HASH) is None
+        assert any("skipping" in m for m in caplog.messages)
+
+    @pytest.mark.parametrize("spec", [
+        {"protocol_hash": WEATHER_HASH, "side": "sender", "input": 5},
+        {"protocol_hash": WEATHER_HASH, "side": "sender", "steps": [5]},
+        {"protocol_hash": WEATHER_HASH, "side": "sender",
+         "input": {"properties": {"date": "string"}}},
+    ])
+    def test_malformed_routine_file_is_skipped(self, world, tmp_path, caplog, spec):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / f"{WEATHER_HASH}.sender.routine").write_text(json.dumps(spec), encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            agent = world.add_agent("alice", pd_store=str(store))
+        assert agent.get_routine(WEATHER_HASH, SENDER) is None
         assert any("skipping" in m for m in caplog.messages)
 
 
