@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import replace
 
-from . import catalog
 from .documents import DocumentError, TamperError, compute_hash, document_filename, verify_document
 from .gateway import CostLedger, DEFAULT_PRICES, LiveChatBackend, load_price_table
 from .registry import RegistryIntegrityError, RegistryStore
@@ -104,15 +103,6 @@ def _build_backend(raw: dict, model_id: str):
 
 
 def cmd_serve_agent(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        config = AgentConfig.from_dict(raw)
-        backend = _build_backend(raw, config.model_id)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        _err(f"bad agent config: {exc}")
-        return EXIT_CONFIG
-
     prices = dict(DEFAULT_PRICES)
     if args.prices:
         try:
@@ -121,11 +111,17 @@ def cmd_serve_agent(args) -> int:
             _err(f"bad price table: {exc}")
             return EXIT_CONFIG
 
-    network = Network()
-    impls = {name: fn for name, fn in catalog.MOCK_TOOLS.items()
-             if any(t.name == name for t in config.tools)}
-    agent = Agent(config, backend, CostLedger(prices), network,
-                  tool_impls=impls, task_classifier=catalog.classify)
+    # Building the agent checks its tools, peers and document store too.
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        config = AgentConfig.from_dict(raw)
+        backend = _build_backend(raw, config.model_id)
+        agent = Agent(config, backend, CostLedger(prices), Network())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _err(f"bad agent config: {exc}")
+        return EXIT_CONFIG
+
     try:
         server = HostServer(agent, port=args.port, bind=args.bind, quiet=False)
     except OSError as exc:
@@ -176,6 +172,31 @@ def _print_scenario(result, baseline=None) -> None:
         print(f"cost_ratio: {baseline.total_cost / result.total_cost:.3f}")
 
 
+# The keys a demo scenario file may set besides `kind`: the type of each
+# value and, for a count, its least value.
+DEMO_PARAMS = {
+    "two_agent": {"protocol_uses": (int, 0), "nl_exchanges": (int, 0),
+                  "calibrated": (bool, None)},
+    "chain": {"orders": (int, 1), "seed": (int, None)},
+}
+
+
+def check_demo_params(kind: str, raw: dict) -> None:
+    """Raise ValueError on a key the demo does not take or a value it
+    cannot use."""
+    params = DEMO_PARAMS[kind]
+    unknown = sorted(set(raw) - set(params) - {"kind"})
+    if unknown:
+        raise ValueError(f"unknown {kind} keys: {', '.join(unknown)}")
+    for key, value in raw.items():
+        if key == "kind":
+            continue
+        expected, least = params[key]
+        if type(value) is not expected or (least is not None and value < least):
+            need = expected.__name__ if least is None else f"an int >= {least}"
+            raise ValueError(f"{key} must be {need}, not {value!r}")
+
+
 def cmd_run_sim(args) -> int:
     try:
         raw = load_scenario_file(args.scenario)
@@ -184,9 +205,18 @@ def cmd_run_sim(args) -> int:
         return EXIT_CONFIG
     kind = raw.get("kind", "network")
     seed = args.seed if args.seed is not None else raw.get("seed", 7)
+    if kind in DEMO_PARAMS:
+        try:
+            check_demo_params(kind, raw)
+        except ValueError as exc:
+            _err(f"bad scenario config: {exc}")
+            return EXIT_CONFIG
+    elif kind != "network":
+        _err(f"bad scenario config: unknown kind: {kind!r}")
+        return EXIT_CONFIG
 
     if kind == "two_agent":
-        report = run_twoagent_from_raw(raw)
+        report = run_two_agent_demo(**{k: v for k, v in raw.items() if k != "kind"})
         print(f"nl_exchanges: {report.nl_exchanges}")
         print(f"protocol_uses: {report.protocol_uses}")
         print(f"nl_cost_per_exchange_usd: {report.nl_cost_per_exchange:.6f}")
@@ -201,7 +231,7 @@ def cmd_run_sim(args) -> int:
         return EXIT_OK
 
     if kind == "chain":
-        result = run_chain_demo(orders=int(raw.get("orders", 9)), seed=seed)
+        result = run_chain_demo(orders=raw.get("orders", 9), seed=seed)
         _print_scenario(result)
         if args.out:
             emit_report(result, args.out)
@@ -230,14 +260,6 @@ def cmd_run_sim(args) -> int:
     if args.out:
         emit_report(result, args.out)
     return EXIT_OK
-
-
-def run_twoagent_from_raw(raw: dict):
-    return run_two_agent_demo(
-        protocol_uses=int(raw.get("protocol_uses", 10)),
-        nl_exchanges=int(raw.get("nl_exchanges", 5)),
-        calibrated=bool(raw.get("calibrated", True)),
-    )
 
 
 def cmd_report(args) -> int:

@@ -15,6 +15,12 @@ hash is rejected; no hash means natural language. A server also counts
 natural-language communications across all peers and initiates a
 negotiation with the current sender when that count hits its threshold,
 resetting the count after any successful negotiation.
+
+An agent builds its tool table from its config. An external tool sends the
+task to a peer through the same escalation policy and returns the peer's
+fields, parsing a natural-language reply with one more model call; every
+other tool is the catalog's mock implementation. The catalog's classifier
+decides which protocols the agent's tools can serve.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import os
 import threading
 from dataclasses import dataclass, field, fields, replace
 
+from . import catalog, prompts
 from .documents import (DocumentError, ProtocolDocument, TamperError,
                         compute_hash, extract_worked_example, parse_document,
                         save_document, verify_document)
@@ -40,7 +47,6 @@ from .routines import (RECEIVER, SENDER, Routine, RoutineError,
                        RoutineSpecError, execute_routine, load_routine,
                        routine_from_spec, save_routine)
 from .transport import Network, NotFound, TransportError
-from . import prompts
 
 logger = logging.getLogger(__name__)
 
@@ -233,16 +239,14 @@ class Agent:
     """One node: envelope endpoint, escalation state, documents, routines."""
 
     def __init__(self, config: AgentConfig, backend: CompletionBackend,
-                 ledger: CostLedger, network: Network,
-                 tool_impls: dict | None = None, task_classifier=None):
+                 ledger: CostLedger, network: Network):
         self.config = config
         self.agent_id = config.agent_id
         self.backend = backend
         self.ledger = ledger
         self.network = network
         self.state = EscalationState()
-        self._classifier = task_classifier
-        self._tool_impls = dict(tool_impls or {})
+        self._tool_impls = {desc.name: self._tool_impl(desc) for desc in config.tools}
         self._lock = threading.RLock()
         self._documents: dict[str, ProtocolDocument] = {}
         self._routines: dict[tuple[str, str], Routine] = {}
@@ -250,12 +254,6 @@ class Agent:
         self._conv_counter = 0
         self._pd_model_uses: dict[str, int] = {}
         self._negotiation_locks: dict[tuple[str, str], threading.Lock] = {}
-
-        for desc in config.tools:
-            if desc.kind == "external":
-                if desc.peer not in config.known_peers:
-                    raise ValueError(f"external tool {desc.name!r} names unknown peer {desc.peer!r}")
-                self._tool_impls.setdefault(desc.name, self._external_runner(desc))
 
         self.registry = RegistryClient(network, config.registry_url) if config.registry_url else None
         self._store_document(parse_document(BOOTSTRAP_PD_TEXT), persist=False)
@@ -300,28 +298,39 @@ class Agent:
 
     # ── tools ──────────────────────────────────────────────────────────
 
-    def bind_tool(self, name: str, impl) -> None:
-        """Bind a tool implementation. Bind before the agent handles
-        requests: routines and model handling read the table uncopied."""
-        self._tool_impls[name] = impl
+    def _tool_impl(self, desc: ToolDescriptor):
+        """The callable behind *desc*: a peer query for an external tool,
+        the catalog's mock implementation otherwise."""
+        if desc.kind == "external":
+            if desc.peer not in self.config.known_peers:
+                raise ValueError(f"external tool {desc.name!r} names unknown peer {desc.peer!r}")
+            return self._external_runner(desc)
+        if desc.name not in catalog.MOCK_TOOLS:
+            raise ValueError(f"tool {desc.name!r} has no implementation in the catalog")
+        return catalog.MOCK_TOOLS[desc.name]
 
     def _external_runner(self, desc: ToolDescriptor):
+        """Query the peer and return structured fields, whether it answered
+        in protocol JSON or in natural language."""
+        task_type = desc.task_type or "general"
+        task = catalog.CATALOG.get(desc.task_type)
+        description = task.task_description if task else desc.description or desc.task_type
+
         def run(args: dict):
-            resp = self.query(desc.peer, desc.task_type or "general", args,
-                              desc.description or desc.task_type)
+            resp, _path = self.send_task(desc.peer, task_type, args, description)
             if resp.status != STATUS_SUCCESS:
                 return {"error": f"{desc.name}: {resp.status}: {resp.body or ''}"}
             try:
                 return json.loads(resp.body)
             except ValueError:
-                return {"text": resp.body}
+                parsed = self.parse_reply(task_type, description, resp.body or "")
+                if parsed is None:
+                    return {"error": f"{desc.name}: unparseable reply"}
+                return parsed
         return run
 
     def _supports(self, task_type: str) -> bool:
         return any(t.task_type == task_type for t in self.config.tools)
-
-    def _classify(self, text: str) -> str | None:
-        return self._classifier(text) if self._classifier else None
 
     # ── wire host ──────────────────────────────────────────────────────
 
@@ -349,7 +358,7 @@ class Agent:
                 continue
             served = (digest, RECEIVER) in routine_keys
             if not served and self.config.tools:
-                inferred = self._classify(f"{doc.name} {doc.description}")
+                inferred = catalog.classify(f"{doc.name} {doc.description}")
                 served = inferred is not None and self._supports(inferred)
             if served and self.registry:
                 entries[digest] = [self.registry.pd_url(digest)]
@@ -391,8 +400,8 @@ class Agent:
                 logger.info("%s: cannot resolve %.8s (%s); rejecting", self.agent_id, digest, exc)
                 return ResponseEnvelope(STATUS_REJECTED)
 
-        if self._classifier is not None and self.config.tools:
-            inferred = self._classify(f"{doc.name} {doc.description}")
+        if self.config.tools:
+            inferred = catalog.classify(f"{doc.name} {doc.description}")
             if inferred is None or not self._supports(inferred):
                 return ResponseEnvelope(STATUS_REJECTED)
 
@@ -413,7 +422,7 @@ class Agent:
 
         if (nl_count >= self.config.thresholds.server_negotiate_after
                 and sender_id and sender_id in self.config.known_peers):
-            task_type = self._classify(doc.name if doc else body)
+            task_type = catalog.classify(doc.name if doc else body)
             if task_type:
                 try:
                     self.negotiate(sender_id, task_type, task_type, my_side=RECEIVER)
@@ -725,10 +734,6 @@ class Agent:
         return routine
 
     # ── outbound queries ───────────────────────────────────────────────
-
-    def query(self, peer_id: str, task_type: str, payload: dict,
-              task_description: str = "") -> ResponseEnvelope:
-        return self.send_task(peer_id, task_type, payload, task_description)[0]
 
     def send_task(self, peer_id: str, task_type: str, payload: dict,
                   task_description: str = "") -> tuple[ResponseEnvelope, str]:

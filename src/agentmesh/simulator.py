@@ -3,11 +3,14 @@
 A scenario wires users, servers, and three protocol registries onto one
 network in a single pass: in-process ``mem://`` addresses by default, or,
 for integration runs, one loopback ``HostServer`` per node, bound before
-any node is built so that every node gets its final address. It generates
-a seeded workload, executes it in order on a single logical worker, and
-records one metrics row per query. The natural-language-only counterfactual
-runs the same workload with escalation disabled; comparing the two ledgers
-gives the cost ratio.
+any node is built so that every node gets its final address. A server is
+given only tool descriptors: its catalog tools and, for a chained task, an
+external tool naming the replica that hosts the next hop; the agent builds
+the implementations itself. The scenario generates a seeded workload,
+executes it in order on a single logical worker, and records one metrics
+row per query. The natural-language-only counterfactual runs the same
+workload with escalation disabled; comparing the two ledgers gives the cost
+ratio.
 
 Included scenario presets:
   * the two-agent walkthrough (natural language, failed suitability check,
@@ -51,28 +54,6 @@ _KIND_MODELS = {"svc-a": "gpt-4o", "svc-b": "llama-3-405b", "svc-c": "gemini-1.5
 
 MODE_AGORA = "agora"
 MODE_NL_ONLY = "natural_language_only"
-
-
-def _external_tool(agent: Agent, descriptor: ToolDescriptor):
-    """Tool impl that queries a peer agent and returns structured fields,
-    whether the hop answered in protocol JSON or natural language."""
-    task = catalog.CATALOG[descriptor.task_type]
-
-    def run(args: dict):
-        response = agent.query(descriptor.peer, descriptor.task_type, args,
-                               task.task_description)
-        if response.status != STATUS_SUCCESS:
-            return {"error": f"{descriptor.name}: {response.status}: {response.body or ''}"}
-        try:
-            return json.loads(response.body)
-        except ValueError:
-            parsed = agent.parse_reply(descriptor.task_type, task.task_description,
-                                       response.body or "")
-            if parsed is None:
-                return {"error": f"{descriptor.name}: unparseable reply"}
-            return parsed
-
-    return run
 
 
 # Default registry topology: a three-database chain, each peered with its
@@ -233,10 +214,10 @@ class Scenario:
         for index, agent_id in enumerate(agent_ids):
             if agent_id in server_ids:
                 kind, replica = agent_id.rsplit("-", 1)
-                tools, impl_names, externals = self._server_tools(kind, int(replica), hosted)
+                tools = self._server_tools(kind, int(replica), hosted)
                 model_id = _KIND_MODELS[kind]
             else:
-                tools, impl_names, externals = (), (), ()
+                tools = ()
                 model_id = MODELS[index % len(MODELS)]
 
             config = AgentConfig(
@@ -249,11 +230,7 @@ class Scenario:
             )
             backend = ScriptedBackend(model_id=model_id, failure_rate=cfg.failure_rate,
                                       failure_seed=cfg.seed + index)
-            agent = Agent(config, backend, self.ledger, self.network,
-                          tool_impls={name: catalog.MOCK_TOOLS[name] for name in impl_names},
-                          task_classifier=catalog.classify)
-            for descriptor in externals:
-                agent.bind_tool(descriptor.name, _external_tool(agent, descriptor))
+            agent = Agent(config, backend, self.ledger, self.network)
             self.agents[agent_id] = agent
             self.network.register(agent_id, agent)
 
@@ -263,21 +240,16 @@ class Scenario:
     @staticmethod
     def _server_tools(kind: str, replica: int, hosted: dict[str, list[str]]):
         tools: list[ToolDescriptor] = []
-        impl_names: list[str] = []
-        externals: list[ToolDescriptor] = []
         for task_type in SERVER_KINDS[kind]:
             task = catalog.CATALOG[task_type]
             tool_kind = "database" if task.primary_tool.endswith("_db") else "mock"
             tools.append(ToolDescriptor(task.primary_tool, tool_kind,
                                         description=task.purpose, task_type=task_type))
-            impl_names.append(task.primary_tool)
             for raw in task.server_tools:
-                descriptor = ToolDescriptor(
+                tools.append(ToolDescriptor(
                     name=raw["name"], kind="external", description=raw["description"],
-                    task_type=raw["task_type"], peer=hosted[raw["task_type"]][replica - 1])
-                tools.append(descriptor)
-                externals.append(descriptor)
-        return tuple(tools), tuple(impl_names), tuple(externals)
+                    task_type=raw["task_type"], peer=hosted[raw["task_type"]][replica - 1]))
+        return tuple(tools)
 
     def close(self) -> None:
         # The client's kept-alive connections first, so that the servers'
@@ -415,7 +387,7 @@ def run_two_agent_demo(protocol_uses: int = 10, nl_exchanges: int = 5,
     network.register("db1", registry)
     addresses = {"alice": "mem://alice", "bob": "mem://bob"}
 
-    def make_agent(agent_id, tools, impls):
+    def make_agent(agent_id, tools):
         config = AgentConfig(
             agent_id=agent_id, model_id=model_id,
             thresholds=EscalationThresholds.unlimited(),   # the walkthrough drives phases itself
@@ -424,16 +396,13 @@ def run_two_agent_demo(protocol_uses: int = 10, nl_exchanges: int = 5,
             registry_url="mem://db1",
         )
         backend = ScriptedBackend(model_id=model_id, usage_overrides=overrides)
-        agent = Agent(config, backend, ledger, network, tool_impls=impls,
-                      task_classifier=catalog.classify)
+        agent = Agent(config, backend, ledger, network)
         network.register(agent_id, agent)
         return agent
 
     weather = catalog.CATALOG["weather"]
-    alice = make_agent("alice", (), {})
-    make_agent("bob",
-               (ToolDescriptor("weather_db", "database", weather.purpose, "weather"),),
-               {"weather_db": catalog.MOCK_TOOLS["weather_db"]})
+    alice = make_agent("alice", ())
+    make_agent("bob", (ToolDescriptor("weather_db", "database", weather.purpose, "weather"),))
 
     payload = {"location": "London, UK", "date": "2024-09-27"}
     description = weather.task_description

@@ -30,7 +30,7 @@ class World:
         self.network.register("db1", self.registry)
         self.agents: dict[str, Agent] = {}
 
-    def add_agent(self, agent_id: str, tools=(), impls=None,
+    def add_agent(self, agent_id: str, tools=(),
                   thresholds: EscalationThresholds | None = None,
                   backend: ScriptedBackend | None = None,
                   registry_url: str | None = "mem://db1", **config_kw) -> Agent:
@@ -42,9 +42,7 @@ class World:
             registry_url=registry_url,
             **config_kw,
         )
-        agent = Agent(config, backend or ScriptedBackend(),
-                      self.ledger, self.network,
-                      tool_impls=impls or {}, task_classifier=catalog.classify)
+        agent = Agent(config, backend or ScriptedBackend(), self.ledger, self.network)
         self.network.register(agent_id, agent)
         for other in self.agents.values():
             other.config.known_peers[agent_id] = f"mem://{agent_id}"
@@ -57,7 +55,6 @@ class World:
         return self.add_agent(
             agent_id,
             tools=(ToolDescriptor("weather_db", "database", weather.purpose, "weather"),),
-            impls={"weather_db": catalog.MOCK_TOOLS["weather_db"]},
             **kw,
         )
 

@@ -132,9 +132,19 @@ class TestRunSim:
 
     def test_bad_scenario_value_exit_2(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
-        scenario.write_text(json.dumps({"kind": "network", "nonsense_key": 1}))
-        code, _, err = run_cli("run-sim", str(scenario), capsys=capsys)
-        assert code == 2
+        for raw in ({"kind": "network", "nonsense_key": 1},
+                    {"kind": "chain", "orders": "many"},
+                    {"kind": "chain", "order": 3},
+                    {"kind": "chain", "orders": 0},
+                    {"kind": "two_agent", "protocol_uses": "ten"},
+                    {"kind": "two_agent", "nl_exchanges": -1},
+                    {"kind": "two_agent", "calibrated": "no"},
+                    {"kind": "two_agent", "seed": 3},
+                    {"kind": "chian"}):
+            scenario.write_text(json.dumps(raw))
+            code, _, err = run_cli("run-sim", str(scenario), capsys=capsys)
+            assert code == 2, raw
+            assert "bad scenario config" in err, raw
 
 
 class TestReportCommand:
@@ -159,16 +169,26 @@ class TestServeCommands:
         assert code == 2
 
     def test_serve_agent_unknown_key_exit_2(self, tmp_path, capsys, monkeypatch):
-        with open(os.path.join(CONFIGS, "agent_weather.json"), encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["registry_ur"] = "http://127.0.0.1:8800"
-        path = tmp_path / "agent.json"
-        path.write_text(json.dumps(raw), encoding="utf-8")
+        not_a_dir = tmp_path / "not-a-dir"
+        not_a_dir.write_text("", encoding="utf-8")
+        ghost_tool = {"name": "ext", "kind": "external", "task_type": "weather", "peer": "ghost"}
+        cases = (
+            ("registry_ur", "http://127.0.0.1:8800", "registry_ur"),
+            ("tools", [ghost_tool], "ghost"),                               # unknown peer
+            ("tools", [{"name": "barometer", "kind": "database"}], "barometer"),
+            ("pd_store", str(not_a_dir), "not-a-dir"),
+        )
         monkeypatch.setattr(HostServer, "serve_forever",
-                            lambda self: pytest.fail("served a misspelt config"))
-        code, _, err = run_cli("serve-agent", str(path), "--port", "0", capsys=capsys)
-        assert code == 2
-        assert "bad agent config" in err and "registry_ur" in err
+                            lambda self: pytest.fail("served a bad config"))
+        for key, value, named in cases:
+            with open(os.path.join(CONFIGS, "agent_weather.json"), encoding="utf-8") as fh:
+                raw = json.load(fh)
+            raw[key] = value
+            path = tmp_path / "agent.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            code, _, err = run_cli("serve-agent", str(path), "--port", "0", capsys=capsys)
+            assert code == 2, named
+            assert "bad agent config" in err and named in err
 
     def test_serve_agent_port_in_use_exit_3(self, tmp_path, capsys):
         blocker = socket.socket()
@@ -195,10 +215,13 @@ class TestServeCommands:
         """End to end through the console entry: wellknown answers."""
         import requests
         port = _free_port()
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.Popen(
             [sys.executable, "-m", "agentmesh.cli", "serve-agent",
              os.path.join(CONFIGS, "agent_weather.json"), "--port", str(port)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         try:
             deadline = 50
             wk = None

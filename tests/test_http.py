@@ -32,9 +32,7 @@ def agent_server():
         agent_id="bob",
         tools=(ToolDescriptor("weather_db", "database", weather.purpose, "weather"),),
     )
-    agent = Agent(config, ScriptedBackend(), CostLedger(), network,
-                  tool_impls={"weather_db": catalog.MOCK_TOOLS["weather_db"]},
-                  task_classifier=catalog.classify)
+    agent = Agent(config, ScriptedBackend(), CostLedger(), network)
     server = HostServer(agent)
     server.start_background()
     yield server

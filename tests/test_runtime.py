@@ -500,6 +500,57 @@ class TestSynthesis:
                    for r in world.ledger.records())
 
 
+# ── external tools ───────────────────────────────────────────────────
+
+LONDON = {"location": "London, UK", "date": "2024-09-27"}
+
+
+def _forecasting_agent(world, backend=None) -> Agent:
+    """An agent whose one tool queries the weather server "bob", with
+    escalation off so that the query stays in natural language."""
+    config = AgentConfig(
+        agent_id="carol",
+        thresholds=EscalationThresholds.unlimited(),
+        tools=(ToolDescriptor("forecast", "external", task_type="weather", peer="bob"),),
+        known_peers={"bob": "mem://bob"},
+        registry_url="mem://db1",
+    )
+    agent = Agent(config, backend or ScriptedBackend(), world.ledger, world.network)
+    world.network.register("carol", agent)
+    return agent
+
+
+def _nl_records(world) -> int:
+    return sum(1 for r in world.ledger.records() if r.activity == Activity.NATURAL_LANGUAGE)
+
+
+class TestExternalTool:
+    def test_language_reply_is_parsed_into_fields(self, world):
+        world.add_weather_server(thresholds=EscalationThresholds.unlimited())
+        carol = _forecasting_agent(world)
+        before = _nl_records(world)
+        resp, mode = carol.send_task("bob", "weather", LONDON,
+                                     catalog.CATALOG["weather"].task_description)
+        assert mode == "natural_language" and not resp.body.startswith("{")
+        per_query = _nl_records(world) - before
+
+        before = _nl_records(world)
+        result = carol._tool_impls["forecast"](LONDON)
+        assert result == catalog.MOCK_TOOLS["weather_db"](LONDON)
+        assert _nl_records(world) - before == per_query + 1     # the tool's own parse call
+
+    def test_failing_peer_gives_error(self, world):
+        world.add_weather_server(backend=ScriptedBackend(failure_rate=1.0))
+        carol = _forecasting_agent(world)
+        result = carol._tool_impls["forecast"](LONDON)
+        assert set(result) == {"error"} and result["error"].startswith("forecast: failure:")
+
+    def test_unparseable_reply_gives_error(self, world):
+        world.add_weather_server()
+        carol = _forecasting_agent(world, backend=FixedReplyBackend("no idea"))
+        assert carol._tool_impls["forecast"](LONDON) == {"error": "forecast: unparseable reply"}
+
+
 # ── configuration validation ─────────────────────────────────────────
 
 class TestConfigValidation:
@@ -509,6 +560,14 @@ class TestConfigValidation:
             tools=(ToolDescriptor("ext", "external", task_type="weather", peer="ghost"),),
         )
         with pytest.raises(ValueError, match="unknown peer"):
+            Agent(config, ScriptedBackend(), CostLedger(), world.network)
+
+    def test_tool_without_catalog_implementation_rejected(self, world):
+        config = AgentConfig(
+            agent_id="broken",
+            tools=(ToolDescriptor("barometer", "database", task_type="weather"),),
+        )
+        with pytest.raises(ValueError, match="barometer"):
             Agent(config, ScriptedBackend(), CostLedger(), world.network)
 
     def test_from_dict_round_trip(self):
