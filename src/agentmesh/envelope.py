@@ -9,14 +9,18 @@ for errors outside the protocol's own error vocabulary; protocol-level
 errors travel as ``success`` with the protocol's error message as body.
 
 Canonical serialization emits keys in a fixed order with no insignificant
-whitespace so golden files and logs stay stable; decoders accept any key
-order but reject unknown keys to surface drift early.
+whitespace so golden files and logs stay stable. The encoders write that text
+directly, quoting strings with the function ``json.dumps(..., ensure_ascii=
+False)`` uses, so it equals compact ``json.dumps`` of the fields; they refuse
+a body or source that is not a string, which every decoder would reject.
+Decoders accept any key order but reject unknown keys to surface drift early.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _quote
 
 from .documents import is_valid_hash
 
@@ -24,6 +28,8 @@ STATUS_SUCCESS = "success"
 STATUS_FAILURE = "failure"
 STATUS_REJECTED = "rejected"
 VALID_STATUSES = frozenset({STATUS_SUCCESS, STATUS_FAILURE, STATUS_REJECTED})
+_REQUEST_FIELDS = frozenset({"protocolHash", "protocolSources", "body"})
+_RESPONSE_FIELDS = frozenset({"status", "body"})
 
 
 class EnvelopeError(Exception):
@@ -59,10 +65,6 @@ class ResponseEnvelope:
         return self.status == STATUS_SUCCESS
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
-
-
 def _check_request(env: RequestEnvelope) -> None:
     if env.protocol_hash is None and env.protocol_sources:
         raise EncodeError("protocolSources must be empty when protocolHash is null")
@@ -73,13 +75,22 @@ def _check_request(env: RequestEnvelope) -> None:
             raise EncodeError("protocolSources must be non-empty when protocolHash is set")
 
 
+def _quote_body(body) -> str:
+    if not isinstance(body, str):
+        raise EncodeError(f"body must be a string, not {type(body).__name__}")
+    return _quote(body)
+
+
 def encode_request(env: RequestEnvelope) -> str:
     _check_request(env)
-    return _dumps({
-        "protocolHash": env.protocol_hash,
-        "protocolSources": list(env.protocol_sources),
-        "body": env.body,
-    })
+    sources = []
+    for source in env.protocol_sources:
+        if not isinstance(source, str):
+            raise EncodeError(f"protocolSources must be strings, not {type(source).__name__}")
+        sources.append(_quote(source))
+    digest = "null" if env.protocol_hash is None else _quote(env.protocol_hash)
+    return (f'{{"protocolHash":{digest},"protocolSources":[{",".join(sources)}],'
+            f'"body":{_quote_body(env.body)}}}')
 
 
 def decode_request(text: str) -> RequestEnvelope:
@@ -90,9 +101,8 @@ def decode_request(text: str) -> RequestEnvelope:
     if not isinstance(raw, dict):
         raise DecodeError("request must be a JSON object")
 
-    extra = set(raw) - {"protocolHash", "protocolSources", "body"}
-    if extra:
-        raise DecodeError(f"unknown request fields: {sorted(extra)}")
+    if not _REQUEST_FIELDS.issuperset(raw):
+        raise DecodeError(f"unknown request fields: {sorted(raw.keys() - _REQUEST_FIELDS)}")
     for key in ("protocolSources", "body"):
         if key not in raw:
             raise DecodeError(f"missing request field: {key}")
@@ -125,11 +135,9 @@ def encode_response(env: ResponseEnvelope) -> str:
     if env.status == STATUS_REJECTED:
         if env.body is not None:
             raise EncodeError("rejected responses carry no body")
-        return _dumps({"status": env.status})
-    payload = {"status": env.status}
-    if env.body is not None:
-        payload["body"] = env.body
-    return _dumps(payload)
+    if env.body is None:
+        return f'{{"status":{_quote(env.status)}}}'
+    return f'{{"status":{_quote(env.status)},"body":{_quote_body(env.body)}}}'
 
 
 def decode_response(text: str) -> ResponseEnvelope:
@@ -140,9 +148,8 @@ def decode_response(text: str) -> ResponseEnvelope:
     if not isinstance(raw, dict):
         raise DecodeError("response must be a JSON object")
 
-    extra = set(raw) - {"status", "body"}
-    if extra:
-        raise DecodeError(f"unknown response fields: {sorted(extra)}")
+    if not _RESPONSE_FIELDS.issuperset(raw):
+        raise DecodeError(f"unknown response fields: {sorted(raw.keys() - _RESPONSE_FIELDS)}")
     if "status" not in raw:
         raise DecodeError("missing response field: status")
 
@@ -190,7 +197,7 @@ def build_wellknown(wk: WellknownMap) -> str:
         if not sources:
             raise EncodeError(f"wellknown entry {digest} has an empty source list")
         payload[digest.lower()] = list(sources)
-    return _dumps(payload)
+    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
 
 
 def parse_wellknown(text: str) -> WellknownMap:

@@ -28,7 +28,7 @@ from urllib.parse import quote
 
 from .documents import (DocumentError, ProtocolDocument, document_filename,
                         is_valid_hash, parse_document, verify_document)
-from .transport import Network, TransportError
+from .transport import Network, StatusError, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +106,8 @@ class RegistryStore:
     def share_with_peers(self) -> int:
         """Push to each peer the stored documents its listing lacks; returns
         the number of documents transmitted. A peer whose listing fails is
-        skipped, and so is the rest of a peer's share once a post fails."""
+        skipped. A document the peer refuses (any answer but 200) is skipped,
+        and the rest of a peer's share once a post cannot reach it."""
         if self.network is None:
             return 0
         with self._lock:
@@ -125,6 +126,10 @@ class RegistryStore:
                     continue
                 try:
                     client.submit(doc.raw_text)
+                except StatusError as exc:
+                    logger.warning("registry %s: peer %s refused %.8s (%s)",
+                                   self.registry_id, peer, digest, exc)
+                    continue
                 except TransportError as exc:
                     logger.warning("registry %s: peer %s unreachable (%s)",
                                    self.registry_id, peer, exc)

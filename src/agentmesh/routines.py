@@ -3,9 +3,13 @@
 A routine is a small spec (input schema, ordered tool invocations, output
 mapping). Building a ``Routine`` compiles the spec once into a plan of
 closures: the schema check, each step's argument template and the output
-template. ``execute_routine`` then runs that plan, so no request walks the
-spec again. Executing a routine never touches a completion backend, so
-exchanges handled by routines on both sides cost nothing.
+template. ``run_routine`` runs that plan on an already decoded value, so no
+request walks the spec again; ``execute_routine`` decodes a JSON request
+body and runs it. A sender runs its routine on the task payload itself, as
+JSON would give it back (``as_decoded_json``), so it does not encode the
+payload only to decode it again. Executing a routine never touches a
+completion backend, so exchanges handled by routines on both sides cost
+nothing.
 
 Templates reference earlier values with ``$``-paths: ``$input.date`` is the
 ``date`` field of the (JSON-decoded) request body, ``$wx.temperature``
@@ -254,18 +258,67 @@ def _compile_routine(routine: Routine) -> Callable[[Any, Mapping[str, ToolRunner
     return run
 
 
-def execute_routine(routine: Routine, body: str, tools: Mapping[str, ToolRunner]) -> str:
-    """Run *routine* on a request body; returns the output body.
+def run_routine(routine: Routine, value: Any, tools: Mapping[str, ToolRunner]) -> str:
+    """Run *routine* on a decoded JSON value; returns the output body.
 
     Deterministic given tool results, and never invokes a completion
-    backend. RoutineInputError means the body failed schema validation and
-    the caller should handle the request with the model instead.
+    backend. RoutineInputError means the value failed schema validation and
+    the caller should handle the request with the model instead. The value
+    is not copied: tools must not mutate their arguments.
     """
+    return routine._plan(value, tools)
+
+
+def execute_routine(routine: Routine, body: str, tools: Mapping[str, ToolRunner]) -> str:
+    """Decode a JSON request body and run *routine* on it (``run_routine``)."""
     try:
         parsed = json.loads(body)
     except ValueError as exc:
         raise RoutineInputError(f"request body is not valid JSON: {exc}") from exc
-    return routine._plan(parsed, tools)
+    return run_routine(routine, parsed, tools)
+
+
+_JSON_SCALARS = frozenset({str, float, bool, type(None)})
+# Below 2**2048 an int has fewer digits than any int_max_str_digits limit
+# allows (640), so encoding it cannot fail.
+_INT_BITS = 2048
+# Deeper (or circular) values take the round trip, which reports them.
+_DECODED_DEPTH = 32
+
+
+def _is_decoded(value: Any, depth: int) -> bool:
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return True
+    if kind is int:
+        return value.bit_length() < _INT_BITS
+    if depth == _DECODED_DEPTH:
+        return False
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str or not (type(item) in _JSON_SCALARS
+                                            or _is_decoded(item, depth + 1)):
+                return False
+        return True
+    if kind is list:
+        for item in value:
+            if not (type(item) in _JSON_SCALARS or _is_decoded(item, depth + 1)):
+                return False
+        return True
+    return False
+
+
+def as_decoded_json(value: Any) -> Any:
+    """*value* as ``json.loads(json.dumps(value))`` gives it back.
+
+    A value that already is decoded JSON (exact dicts with str keys, lists,
+    strs, ints, floats, bools and None) is returned as it is, uncopied; any
+    other value takes the round trip, so tuples become lists, keys become
+    strings and an unencodable value raises what ``json.dumps`` raises.
+    """
+    if _is_decoded(value, 0):
+        return value
+    return json.loads(json.dumps(value))
 
 
 # ── file store ───────────────────────────────────────────────────────

@@ -6,7 +6,9 @@ suitability check against advertised/registered protocols once exchanges
 repeat, and negotiation of a fresh protocol once they repeat further.
 Negotiated or adopted protocols are pinned; both sides then try to replace
 model handling with synthesized routines, after which repeated exchanges
-cost nothing.
+cost nothing. A sender runs its routine on the task payload as JSON would
+decode it, without encoding it first; a receiver runs its routine on the
+decoded request body.
 
 Inbound requests are routed by protocol hash: a registered routine handles
 the request without any model call; a known (or fetchable) document is
@@ -44,8 +46,9 @@ from .envelope import (STATUS_FAILURE, STATUS_REJECTED, STATUS_SUCCESS,
 from .gateway import Activity, BackendError, CompletionBackend, CostLedger, Message, TokenUsage
 from .registry import RegistryClient
 from .routines import (RECEIVER, SENDER, Routine, RoutineError,
-                       RoutineSpecError, execute_routine, load_routine,
-                       routine_from_spec, save_routine)
+                       RoutineSpecError, as_decoded_json, execute_routine,
+                       load_routine, routine_from_spec, run_routine,
+                       save_routine)
 from .transport import Network, NotFound, TransportError
 
 logger = logging.getLogger(__name__)
@@ -722,7 +725,8 @@ class Agent:
             example_input, example_output = example
             expected = example_input if side == SENDER else example_output
             try:
-                produced = execute_routine(routine, json.dumps(example_input), self._tool_impls)
+                produced = run_routine(routine, as_decoded_json(example_input),
+                                       self._tool_impls)
                 if json.loads(produced) != expected:
                     logger.info("%s: routine failed its example (%s side); rejected",
                                 self.agent_id, side)
@@ -800,7 +804,7 @@ class Agent:
         routine = self.get_routine(digest, SENDER)
         if routine is not None:
             try:
-                body = execute_routine(routine, json.dumps(payload), self._tool_impls)
+                body = run_routine(routine, as_decoded_json(payload), self._tool_impls)
             except RoutineError as exc:
                 logger.info("%s: sender routine failed (%s); composing with model",
                             self.agent_id, exc)

@@ -54,6 +54,11 @@ _KIND_MODELS = {"svc-a": "gpt-4o", "svc-b": "llama-3-405b", "svc-c": "gemini-1.5
 
 MODE_AGORA = "agora"
 MODE_NL_ONLY = "natural_language_only"
+TRANSPORTS = ("inprocess", "http")
+
+# The integer values a scenario file may set and, for a count, its least value.
+_INT_FIELDS = {"seed": None, "n_users": 1, "server_replicas": 1, "total_queries": 1,
+               "types_per_user": 1, "share_period": 0}
 
 
 # Default registry topology: a three-database chain, each peered with its
@@ -77,7 +82,7 @@ class ScenarioConfig:
     task_filter: tuple[str, ...] = ()       # restrict workload to these types
     thresholds: EscalationThresholds = field(default_factory=EscalationThresholds)
     share_period: int = 10
-    transport: str = "inprocess"            # inprocess | http
+    transport: str = "inprocess"            # one of TRANSPORTS
     failure_rate: float = 0.0
     prices: dict[str, ModelPrice] = field(default_factory=lambda: dict(DEFAULT_PRICES))
     registry_peers: dict[str, tuple[str, ...]] = field(
@@ -85,8 +90,23 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        """Build a config from a scenario file's object. An unknown key
+        raises TypeError; a value the scenario cannot use raises ValueError."""
         raw = dict(raw)
         raw.pop("kind", None)
+        for key, least in _INT_FIELDS.items():
+            if key not in raw:
+                continue
+            value = raw[key]
+            if type(value) is not int or (least is not None and value < least):
+                need = "an int" if least is None else f"an int >= {least}"
+                raise ValueError(f"{key} must be {need}, not {value!r}")
+        if raw.get("transport", "inprocess") not in TRANSPORTS:
+            raise ValueError(f"transport must be one of {', '.join(TRANSPORTS)}, "
+                             f"not {raw['transport']!r}")
+        rate = raw.get("failure_rate", 0.0)
+        if type(rate) not in (int, float) or not 0 <= rate <= 1:
+            raise ValueError(f"failure_rate must be a number in [0, 1], not {rate!r}")
         if "thresholds" in raw:
             raw["thresholds"] = EscalationThresholds(**raw["thresholds"])
         if "task_filter" in raw:

@@ -26,7 +26,11 @@ class TransportError(Exception):
     """The peer could not be reached or answered with a transport error."""
 
 
-class NotFound(TransportError):
+class StatusError(TransportError):
+    """The peer answered, with a status other than 200."""
+
+
+class NotFound(StatusError):
     """The peer answered 404."""
 
 
@@ -157,13 +161,13 @@ class Network:
         if status == 404:
             raise NotFound(url)
         if status != 200:
-            raise TransportError(f"GET {url} -> {status}: {text[:200]}")
+            raise StatusError(f"GET {url} -> {status}: {text[:200]}")
         return text
 
     def post_text(self, url: str, body: str) -> str:
         status, text = self.request("POST", url, body)
         if status != 200:
-            raise TransportError(f"POST {url} -> {status}: {text[:200]}")
+            raise StatusError(f"POST {url} -> {status}: {text[:200]}")
         return text
 
     def post_envelope(self, base_url: str, request_json: str,
@@ -171,7 +175,7 @@ class Network:
         """POST a request envelope to an agent's root endpoint."""
         status, text = self.request("POST", base_url.rstrip("/") + "/", request_json, sender_id)
         if status != 200:
-            raise TransportError(f"POST {base_url} -> {status}: {text[:200]}")
+            raise StatusError(f"POST {base_url} -> {status}: {text[:200]}")
         return text
 
     def fetch_wellknown(self, base_url: str) -> str:

@@ -140,7 +140,14 @@ class TestRunSim:
                     {"kind": "two_agent", "nl_exchanges": -1},
                     {"kind": "two_agent", "calibrated": "no"},
                     {"kind": "two_agent", "seed": 3},
-                    {"kind": "chian"}):
+                    {"kind": "chian"},
+                    {"kind": "network", "n_users": "four"},
+                    {"kind": "network", "total_queries": -1},
+                    {"kind": "network", "server_replicas": 0},
+                    {"kind": "network", "share_period": 2.5},
+                    {"kind": "network", "transport": "htp"},
+                    {"kind": "network", "failure_rate": 1.5},
+                    {"kind": "network", "failure_rate": "low"}):
             scenario.write_text(json.dumps(raw))
             code, _, err = run_cli("run-sim", str(scenario), capsys=capsys)
             assert code == 2, raw

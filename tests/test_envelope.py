@@ -1,5 +1,6 @@
 """Wire envelope encoding, decoding, golden bytes, and the wellknown map."""
 
+import json
 import os
 
 import pytest
@@ -149,6 +150,51 @@ def test_protocol_request_round_trip(digest, sources, body):
 def test_response_round_trip(status, body):
     env = ResponseEnvelope(status, body)
     assert decode_response(encode_response(env)) == env
+
+
+def _canonical(fields: dict) -> str:
+    """The canonical text as the encoders once produced it."""
+    return json.dumps(fields, separators=(",", ":"), ensure_ascii=False)
+
+
+# Quotes, backslashes, control characters, non-ASCII, the JavaScript line
+# separators and lone surrogates, mixed with arbitrary code points.
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "/", "é",
+                            "\u2028", "\u2029", "\ud800", "\udfff", "\U0001f600"])
+_awkward_text = st.text(_AWKWARD | st.characters(exclude_categories=()), max_size=60)
+
+
+class TestCanonicalText:
+    @given(digest=st.none() | st.text("0123456789abcdefABCDEF", min_size=40, max_size=40),
+           sources=st.lists(_awkward_text.filter(bool), min_size=1, max_size=3).map(tuple),
+           body=_awkward_text)
+    def test_request_equals_compact_dumps(self, digest, sources, body):
+        sources = () if digest is None else sources
+        env = RequestEnvelope(digest, sources, body)
+        assert encode_request(env) == _canonical(
+            {"protocolHash": digest, "protocolSources": list(sources), "body": body})
+
+    @given(status=st.sampled_from(["success", "failure", "rejected"]),
+           body=st.none() | _awkward_text)
+    def test_response_equals_compact_dumps(self, status, body):
+        body = None if status == "rejected" else body
+        fields = {"status": status} if body is None else {"status": status, "body": body}
+        assert encode_response(ResponseEnvelope(status, body)) == _canonical(fields)
+
+    @pytest.mark.parametrize("env", [
+        RequestEnvelope(None, (), 5),
+        RequestEnvelope(None, (), None),
+        RequestEnvelope(WEATHER_HASH, ("mem://db1", b"mem://db2"), "hi"),
+        RequestEnvelope(WEATHER_HASH, (None,), "hi"),
+    ], ids=["int-body", "null-body", "bytes-source", "null-source"])
+    def test_request_with_non_string_is_encode_error(self, env):
+        with pytest.raises(EncodeError):
+            encode_request(env)
+
+    @pytest.mark.parametrize("body", [{"temperature": 22.5}, 3, ["x"]])
+    def test_response_with_non_string_body_is_encode_error(self, body):
+        with pytest.raises(EncodeError):
+            encode_response(ResponseEnvelope("success", body))
 
 
 class TestWellknown:

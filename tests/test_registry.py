@@ -141,6 +141,20 @@ class _Answers:
         return self.status, "text/plain", self.text
 
 
+class _RefusesFirstPost:
+    """Forwards to a wire host, but answers its first POST with a 503."""
+
+    def __init__(self, host):
+        self.host = host
+        self.refused = False
+
+    def handle_request(self, method, path, query, body, sender_id):
+        if method == "POST" and not self.refused:
+            self.refused = True
+            return 503, "text/plain", "busy"
+        return self.host.handle_request(method, path, query, body, sender_id)
+
+
 class TestSharing:
     def test_one_round_reaches_direct_peer_only(self, network):
         registries = chain(network)
@@ -187,6 +201,19 @@ class TestSharing:
         assert store.share_with_peers() == 1
         assert recorder.requests[1:] == [("GET", "/pd"), ("POST", "/pd")]
         assert peer.hashes() == store.hashes()
+
+    def test_refused_document_does_not_end_the_share(self, network):
+        store = RegistryStore("db1", network, peers=("mem://db2",))
+        peer = RegistryStore("db2", network)
+        network.register("db2", _RefusesFirstPost(peer))
+        taxi_text = catalog.pd_text(catalog.CATALOG["taxi"])
+        store.submit(WEATHER_TEXT)
+        store.submit(taxi_text)
+        first, second = sorted(store.hashes())
+        assert store.share_with_peers() == 1
+        assert peer.hashes() == {second}
+        assert store.share_with_peers() == 1
+        assert peer.hashes() == {first, second}
 
     @pytest.mark.parametrize("failing", ["mem://gone", "mem://broken", "mem://other"],
                              ids=["unreachable", "5xx", "not-a-listing"])

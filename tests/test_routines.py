@@ -1,5 +1,6 @@
 """The routine interpreter: schemas, templates, execution, persistence."""
 
+import enum
 import json
 from collections.abc import Mapping
 from dataclasses import replace
@@ -11,8 +12,9 @@ from agentmesh import catalog
 from agentmesh.documents import compute_hash
 from agentmesh.routines import (SENDER, Routine, RoutineExecutionError,
                                 RoutineInputError, RoutineSpecError, RoutineStep,
-                                execute_routine, load_routine, resolve_template,
-                                routine_from_spec, save_routine, validate_input)
+                                as_decoded_json, execute_routine, load_routine,
+                                resolve_template, routine_from_spec, run_routine,
+                                save_routine, validate_input)
 
 WEATHER_HASH = compute_hash(catalog.WEATHER_PD_TEXT)
 
@@ -225,6 +227,98 @@ class TestExecution:
         outputs = {execute_routine(receiver_routine, body, catalog.MOCK_TOOLS)
                    for _ in range(10)}
         assert len(outputs) == 1
+
+
+class _Seats(enum.IntEnum):
+    TWO = 2
+
+
+# Sends the whole decoded payload back, so the body shows what the routine saw.
+_ECHO = Routine("h", SENDER, {"required": ["a"], "properties": {"a": {"type": "string"}}},
+                output_template={"a": "$input.a", "all": "$input"})
+
+
+def _deep(depth):
+    value = "leaf"
+    for _ in range(depth):
+        value = {"a": "x", "next": [value]}
+    return value
+
+
+def _sent(run):
+    """The body a sender routine gives, or the error it raises."""
+    try:
+        return "body", run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_shortcut_matches_round_trip(routine, payload, tools):
+    shortcut = _sent(lambda: run_routine(routine, as_decoded_json(payload), tools))
+    round_trip = _sent(lambda: execute_routine(routine, json.dumps(payload), tools))
+    assert shortcut == round_trip
+
+
+_KEYS = st.text("ab", max_size=2) | st.integers(-2, 2) | st.booleans() | st.none()
+_PAYLOAD_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                    | st.text(max_size=4) | st.just(_Seats.TWO))
+_PAYLOADS = st.recursive(
+    _PAYLOAD_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=12)
+
+
+class TestSenderShortcut:
+    """A sender runs its routine on the payload as JSON would give it back;
+    the body, or the error, must be what encoding the payload and executing
+    the routine on that text gives."""
+
+    @pytest.mark.parametrize("payload", [
+        {"a": "Paris", "date": "2024-10-14", "days": 3, "price": 45.0, "ok": True, "x": None},
+        {"a": "Paris", "items": ["pad thai", {"qty": [1, 2.5]}], "meta": {"b": {"c": None}}},
+        {"a": "Paris", "items": ("pad thai", "sushi set"), "pair": [("x", 1)]},
+        {"a": "Paris", 1: "one", "n": {2: [3]}},
+        {"a": "Paris", "seats": _Seats.TWO, "all": [_Seats.TWO]},
+        {"a": "Paris", "price": float("nan"), "cap": float("inf")},
+        {"a": "Paris", "big": 10 ** 5000},
+        {"a": "Paris", "deep": _deep(40)},
+        {"a": _Seats.TWO},
+        {"date": "2024-10-14"},
+        {"a": 5},
+        ["a"],
+        "a",
+    ], ids=["flat", "nested", "tuple", "int-key", "intenum", "nan", "big-int", "deep",
+            "intenum-typed", "missing-field", "wrong-type", "list", "str"])
+    def test_body_or_error_matches_round_trip(self, payload):
+        _assert_shortcut_matches_round_trip(_ECHO, payload, {})
+
+    def test_set_raises_the_round_trips_type_error(self):
+        payload = {"a": "Paris", "items": {"pad thai"}}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload)
+        with pytest.raises(TypeError) as raised:
+            as_decoded_json(payload)
+        assert str(raised.value) == str(expected.value)
+
+    def test_circular_payload_raises_the_round_trips_error(self):
+        payload = {"a": "Paris"}
+        payload["self"] = payload
+        _assert_shortcut_matches_round_trip(_ECHO, payload, {})
+
+    def test_decoded_payload_is_passed_as_it_is(self):
+        payload = {"a": "Paris", "items": ["x", {"y": 1.5}]}
+        assert as_decoded_json(payload) is payload
+
+    def test_other_payload_is_converted(self):
+        payload = {"a": "Paris", "items": ("x",)}
+        decoded = as_decoded_json(payload)
+        assert decoded == {"a": "Paris", "items": ["x"]}
+        assert payload == {"a": "Paris", "items": ("x",)}
+
+    @given(_PAYLOADS)
+    def test_any_payload_matches_round_trip(self, payload):
+        _assert_shortcut_matches_round_trip(_ECHO, payload, {})
 
 
 class TestPersistence:

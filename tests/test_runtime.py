@@ -1,5 +1,7 @@
 """Agent runtime: dispatch routing, escalation, negotiation, synthesis."""
 
+import copy
+import enum
 import json
 import os
 import threading
@@ -8,9 +10,9 @@ import pytest
 
 from agentmesh import catalog
 from agentmesh.documents import ProtocolMetadata, TamperError, compute_hash, render_document
-from agentmesh.envelope import RequestEnvelope, parse_wellknown
+from agentmesh.envelope import RequestEnvelope, decode_request, parse_wellknown
 from agentmesh.gateway import Activity, CompletionBackend, CostLedger, TokenUsage
-from agentmesh.routines import RECEIVER, SENDER
+from agentmesh.routines import RECEIVER, SENDER, RoutineError, execute_routine
 from agentmesh.runtime import (BOOTSTRAP_HASH, Agent, AgentConfig,
                                EscalationThresholds, Mode, NegotiationError,
                                ResolutionError, ToolDescriptor, decide_mode)
@@ -445,6 +447,84 @@ class TestEscalationTrace:
         assert mode == "protocol"                               # attempted via protocol
         assert resp.status == "success"                         # answered in NL fallback
         assert alice.state.adopted(("bob", "taxi")) is None     # adoption dropped
+
+
+class _Seats(enum.IntEnum):
+    TWO = 2
+
+
+class _RecordsBodies:
+    """Forwards to an agent and records the body of each request envelope."""
+
+    def __init__(self, host):
+        self.host = host
+        self.bodies = []
+
+    def handle_request(self, method, path, query, body, sender_id):
+        if method == "POST" and path == "/":
+            self.bodies.append(decode_request(body).body)
+        return self.host.handle_request(method, path, query, body, sender_id)
+
+
+class TestSenderRoutine:
+    """The sender runs its routine on the payload without encoding it; the
+    body it sends must be what the routine gives on ``json.dumps(payload)``,
+    and a payload the routine refuses must still be composed by the model."""
+
+    @pytest.fixture
+    def pair(self, world):
+        bob = world.add_weather_server()
+        alice = world.add_agent("alice")
+        desc = catalog.CATALOG["weather"].task_description
+        for _ in range(5):
+            alice.send_task("bob", "weather", {"location": "Paris", "date": "2024-10-14"}, desc)
+        assert alice.state.adopted(("bob", "weather"))
+        recorder = _RecordsBodies(bob)
+        world.network.register("bob", recorder)
+        return alice, recorder, desc
+
+    @pytest.mark.parametrize("payload", [
+        {"location": "Paris", "date": "2024-10-14"},
+        {"location": "Paris", "date": "2024-10-14", "extra": {"legs": [1, {"x": None}]}},
+        {"location": "Paris", "date": "2024-10-14", "stops": ("Lyon", "Nice")},
+        {"location": "Paris", "date": "2024-10-14", 3: "int key"},
+        {"location": "Paris", "date": _Seats.TWO},
+        {"location": "Paris", "date": "2024-10-14", "score": float("nan")},
+        {"location": "Paris"},
+    ], ids=["flat", "nested", "tuple", "int-key", "intenum", "nan", "missing-field"])
+    def test_body_matches_routine_on_encoded_payload(self, pair, monkeypatch, payload):
+        alice, recorder, desc = pair
+        digest, _ = alice.state.adopted(("bob", "weather"))
+        try:
+            expected = execute_routine(alice.get_routine(digest, SENDER), json.dumps(payload),
+                                       alice._tool_impls)
+        except RoutineError:
+            expected = None                                     # the model composes it
+        composed = []
+        compose = alice.compose_body
+
+        def recording_compose(*args):
+            composed.append(compose(*args))
+            return composed[-1]
+        monkeypatch.setattr(alice, "compose_body", recording_compose)
+        before = copy.deepcopy(payload)
+        resp, mode = alice.send_task("bob", "weather", payload, desc)
+        assert mode == "protocol" and resp.status == "success"
+        if expected is None:
+            assert recorder.bodies == composed and len(composed) == 1
+        else:
+            assert recorder.bodies == [expected] and composed == []
+        assert repr(payload) == repr(before)                    # the caller's payload is unchanged
+
+    def test_set_payload_raises_the_encoders_type_error(self, pair):
+        alice, recorder, desc = pair
+        payload = {"location": "Paris", "date": "2024-10-14", "stops": {"Lyon"}}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload)
+        with pytest.raises(TypeError) as raised:
+            alice.send_task("bob", "weather", payload, desc)
+        assert str(raised.value) == str(expected.value)
+        assert recorder.bodies == []
 
 
 # ── synthesis edge cases ─────────────────────────────────────────────
