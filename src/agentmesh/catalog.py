@@ -4,9 +4,13 @@ Every simulated query belongs to one of the task types below. An entry
 bundles everything both sides of a conversation need to stay consistent
 without a real model: payload pools, the canonical protocol text the
 scripted negotiator converges on, natural-language question/answer
-templates (with their inverse parsers), the tool step templates shared by
-scripted model handling and synthesized routines, and deterministic mock
-tool implementations.
+templates, the tool step templates shared by scripted model handling and
+synthesized routines, and deterministic mock tool implementations.
+
+Each template is the one statement of its language format: the parser is
+the template compiled into a regex, with its schema fields read back by
+their types. A field's value must not contain the literal text that
+follows its placeholder in the template, or the parse splits it there.
 
 Mock tool results are pure functions of their arguments (values derived by
 hashing the argument tuple), so a run's outputs are identical across modes
@@ -19,7 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
+import string
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,11 +51,6 @@ def fmt_value(value) -> str:
     if isinstance(value, list):
         return ", ".join(fmt_value(v) for v in value)
     return str(value)
-
-
-def _num(text: str):
-    value = float(text)
-    return int(value) if value.is_integer() else value
 
 
 # ── value pools ──────────────────────────────────────────────────────
@@ -220,6 +221,72 @@ MOCK_TOOLS: dict[str, Callable[[dict], dict]] = {
 }
 
 
+# ── natural-language templates ───────────────────────────────────────
+
+_CAP = "_cap"   # `{field_cap}` writes the value capitalised; parsing lower-cases it
+
+
+def _number(text: str):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return int(value) if value.is_integer() else value
+
+
+# Schema type -> (pattern of the text fmt_value writes, conversion back).
+_FROM_TEXT: dict[str, tuple[str, Callable[[str], object]]] = {
+    "string": (r".+?", str),
+    "number": (r"-?\d+(?:\.\d+)?(?:e[+-]\d+)?", _number),
+    "integer": (r"-?\d+", int),
+    "boolean": (r"yes|no", lambda text: text == "yes"),
+    "array": (r".+?", lambda text: text.split(", ")),
+}
+
+
+class _Template:
+    """A template and its inverse: an anchored regex with a named group for
+    each schema field, read back by the field's type in schema order, and a
+    gap that matches any text for every other placeholder."""
+
+    def __init__(self, template: str, schema: dict):
+        types = {name: prop["type"] for name, prop in schema["properties"].items()}
+        pattern: list[str] = []
+        reads: dict[str, tuple] = {}
+        self.capitalised: list[str] = []
+        for literal, name, _, _ in string.Formatter().parse(template):
+            pattern.append(re.escape(literal))
+            if name is None:
+                continue
+            field = name.removesuffix(_CAP)
+            if field != name:
+                self.capitalised.append(field)
+            if field in types:
+                regex, convert = _FROM_TEXT[types[field]]
+                pattern.append(f"(?P<{field}>{regex})")
+                reads[field] = (convert, field != name)
+            else:
+                pattern.append(".+?")
+        self.template = template
+        self.regex = re.compile("".join(pattern), re.DOTALL)
+        self.reads = [(field, *reads[field]) for field in types if field in reads]
+
+    def format(self, values: dict) -> str:
+        text = {key: fmt_value(value) for key, value in values.items()}
+        for field in self.capitalised:
+            text[field + _CAP] = text[field].capitalize()
+        return self.template.format(**text)
+
+    def parse(self, text: str) -> dict | None:
+        match = self.regex.fullmatch(text.strip())
+        if match is None:
+            return None
+        try:
+            return {field: convert(match[field].lower() if lowered else match[field])
+                    for field, convert, lowered in self.reads}
+        except ValueError:
+            return None
+
+
 # ── task type definitions ────────────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -233,55 +300,28 @@ class TaskType:
     output_schema: dict
     example_input: dict
     example_output: dict
-    question_template: str
-    answer_template: str
-    parse_question: Callable[[str], dict | None]
-    parse_answer: Callable[[str], dict | None]
-    answer_context: Callable[[dict, dict], dict]
+    question_template: str          # over the input fields
+    answer_template: str            # over the input and output fields
     make_payload: Callable[..., dict]
     steps: tuple[dict, ...]         # tool step templates ($-references)
     output_template: dict
     server_tools: tuple[dict, ...] = ()   # extra descriptors (external deps)
-    primary_tool: str = ""
+
+    def __post_init__(self):
+        # Each template is compiled once, when the catalog is built.
+        object.__setattr__(self, "_question", _Template(self.question_template, self.input_schema))
+        object.__setattr__(self, "_answer", _Template(self.answer_template, self.output_schema))
+
+    def parse_question(self, text: str) -> dict | None:
+        """The payload a question in this task's template asks about, or None."""
+        return self._question.parse(text)
+
+    def parse_answer(self, text: str) -> dict | None:
+        """The result an answer in this task's template reports, or None."""
+        return self._answer.parse(text)
 
 
-def _rx(pattern: str) -> re.Pattern:
-    return re.compile(pattern, re.DOTALL)
-
-
-def _groups(pattern: re.Pattern, text: str) -> dict | None:
-    match = pattern.match(text.strip())
-    return match.groupdict() if match else None
-
-
-# weather -------------------------------------------------------------
-
-_WEATHER_Q = _rx(r"^What is the weather forecast for (?P<location>.+) on (?P<date>\d{4}-\d{2}-\d{2})\?$")
-_WEATHER_A = _rx(r'^The weather forecast for .+ is as follows: "(?P<weatherCondition>[A-Za-z]+), '
-                 r'(?P<temperature>-?[\d.]+) degrees Celsius, with a precipitation of '
-                 r'(?P<precipitation>[\d.]+) mm\."$')
-
-
-def _weather_parse_q(text: str):
-    return _groups(_WEATHER_Q, text)
-
-
-def _weather_parse_a(text: str):
-    g = _groups(_WEATHER_A, text)
-    if g is None:
-        return None
-    return {
-        "temperature": _num(g["temperature"]),
-        "precipitation": _num(g["precipitation"]),
-        "weatherCondition": g["weatherCondition"].lower(),
-    }
-
-
-def _weather_answer_ctx(payload: dict, result: dict) -> dict:
-    ctx = {k: fmt_value(v) for k, v in {**payload, **result}.items()}
-    ctx["weatherCondition_cap"] = str(result.get("weatherCondition", "")).capitalize()
-    return ctx
-
+# Weather's protocol text is written out; pd_text generates the others'.
 
 WEATHER_PD_TEXT = """Name: Weather Forecast Query Protocol
 Description: A protocol for querying the weather forecast for a given date and location.
@@ -331,84 +371,6 @@ Output:
 """
 
 
-# generic helpers for the remaining types ------------------------------
-
-def _simple_answer_ctx(payload: dict, result: dict) -> dict:
-    return {k: fmt_value(v) for k, v in {**payload, **result}.items()}
-
-
-def _coerce(g: dict, numbers=(), integers=(), booleans=()) -> dict:
-    out: dict = dict(g)
-    for key in numbers:
-        out[key] = _num(out[key])
-    for key in integers:
-        out[key] = int(out[key])
-    for key in booleans:
-        out[key] = out[key] == "yes"
-    return out
-
-
-# taxi -----------------------------------------------------------------
-
-_TAXI_Q = _rx(r"^Please send a taxi from (?P<pickup>.+) to (?P<dropoff>.+) at (?P<time>\d{2}:\d{2})\.$")
-_TAXI_A = _rx(r"^A taxi is booked from .+ at \d{2}:\d{2}: driver (?P<driver>\S+), "
-              r"fare (?P<fare>[\d.]+) USD, arriving in (?P<eta_minutes>\d+) minutes\.$")
-
-# hotel ----------------------------------------------------------------
-
-_HOTEL_Q = _rx(r"^Please book a hotel room in (?P<city>.+) checking in (?P<check_in>\d{4}-\d{2}-\d{2}) "
-               r"for (?P<nights>\d+) nights for (?P<guests>\d+) guests\.$")
-_HOTEL_A = _rx(r"^Booked (?P<hotel>.+) in .+: (?P<price_per_night>[\d.]+) USD per night, "
-               r"available: (?P<available>yes|no)\.$")
-
-# food order -----------------------------------------------------------
-
-_FOOD_Q = _rx(r"^Please order the following items for delivery to (?P<address>.+): (?P<items>.+)\.$")
-_FOOD_A = _rx(r"^Order (?P<order_id>\S+) confirmed: total (?P<total>[\d.]+) USD, courier status "
-              r"(?P<delivery_status>\w+), estimated pickup in (?P<delivery_eta_minutes>\d+) minutes\.$")
-
-# movie tickets ---------------------------------------------------------
-
-_MOVIE_Q = _rx(r"^Please buy (?P<seats>\d+) tickets for (?P<movie>.+) in (?P<city>.+) "
-               r"on (?P<date>\d{4}-\d{2}-\d{2})\.$")
-_MOVIE_A = _rx(r"^Tickets confirmed \((?P<confirmation>\S+)\): \d+ seats for .+, "
-               r"total (?P<price_total>[\d.]+) USD\.$")
-
-# traffic ----------------------------------------------------------------
-
-_TRAFFIC_Q = _rx(r"^What is the current traffic situation in (?P<area>.+)\?$")
-_TRAFFIC_A = _rx(r"^Traffic in .+: (?P<congestion_level>\w+) congestion, average speed "
-                 r"(?P<average_speed_kmh>\d+) km/h, (?P<incident_count>\d+) incidents reported\.$")
-
-# delivery ----------------------------------------------------------------
-
-_DELIVERY_Q = _rx(r"^Please dispatch a courier from (?P<pickup_address>.+) to (?P<dropoff_address>.+) "
-                  r"for order (?P<order_ref>\S+)\.$")
-_DELIVERY_A = _rx(r"^Courier (?P<courier>\S+) assigned to order \S+: pickup in "
-                  r"(?P<pickup_eta_minutes>\d+) minutes, status (?P<delivery_status>\w+)\.$")
-
-# flight --------------------------------------------------------------------
-
-_FLIGHT_Q = _rx(r"^Please find a flight from (?P<origin>\S+) to (?P<destination>\S+) "
-                r"on (?P<date>\d{4}-\d{2}-\d{2})\.$")
-_FLIGHT_A = _rx(r"^Flight (?P<flight_number>\S+) from \S+ to \S+ departs at "
-                r"(?P<departure_time>\d{2}:\d{2}), price (?P<price>[\d.]+) USD\.$")
-
-# car rental ------------------------------------------------------------------
-
-_RENTAL_Q = _rx(r"^Please rent a car in (?P<city>.+) starting (?P<start_date>\d{4}-\d{2}-\d{2}) "
-                r"for (?P<days>\d+) days\.$")
-_RENTAL_A = _rx(r"^Reserved a (?P<model>.+) in .+: (?P<price_per_day>[\d.]+) USD per day, "
-                r"confirmation (?P<confirmation>\S+)\.$")
-
-# restaurant table ---------------------------------------------------------------
-
-_TABLE_Q = _rx(r"^Please reserve a table for (?P<party_size>\d+) in (?P<city>.+) on "
-               r"(?P<date>\d{4}-\d{2}-\d{2}) at (?P<time>\d{2}:\d{2})\.$")
-_TABLE_A = _rx(r"^Reserved a table for \d+ at (?P<restaurant>.+) \((?P<table>\S+)\) on .+, "
-               r"confirmed: (?P<confirmed>yes|no)\.$")
-
-
 def _schema(**props) -> dict:
     return {
         "type": "object",
@@ -449,9 +411,6 @@ _register(TaskType(
     example_output={"courier": "C-42", "pickup_eta_minutes": 12, "delivery_status": "dispatched"},
     question_template="Please dispatch a courier from {pickup_address} to {dropoff_address} for order {order_ref}.",
     answer_template="Courier {courier} assigned to order {order_ref}: pickup in {pickup_eta_minutes} minutes, status {delivery_status}.",
-    parse_question=lambda text: _groups(_DELIVERY_Q, text),
-    parse_answer=lambda text: (g := _groups(_DELIVERY_A, text)) and _coerce(g, integers=("pickup_eta_minutes",)),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {
         "pickup_address": rng.choice(ADDRESSES),
         "dropoff_address": rng.choice(ADDRESSES),
@@ -467,7 +426,6 @@ _register(TaskType(
                      "delivery_status": "dispatched"},
     server_tools=({"name": "traffic_check", "kind": "external", "task_type": "traffic",
                    "description": "Query the traffic data service for congestion in an area."},),
-    primary_tool="courier_pool",
 ))
 
 _register(TaskType(
@@ -491,10 +449,6 @@ _register(TaskType(
                     "delivery_status": "dispatched"},
     question_template="Please order the following items for delivery to {address}: {items}.",
     answer_template="Order {order_id} confirmed: total {total} USD, courier status {delivery_status}, estimated pickup in {delivery_eta_minutes} minutes.",
-    parse_question=lambda text: (g := _groups(_FOOD_Q, text)) and {**g, "items": g["items"].split(", ")},
-    parse_answer=lambda text: (g := _groups(_FOOD_A, text)) and _coerce(
-        g, numbers=("total",), integers=("delivery_eta_minutes",)),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {
         "items": rng.sample(MENU, rng.randint(1, 3)),
         "address": rng.choice(ADDRESSES),
@@ -510,7 +464,6 @@ _register(TaskType(
                      "delivery_status": "$dlv.delivery_status"},
     server_tools=({"name": "delivery_request", "kind": "external", "task_type": "delivery",
                    "description": "Ask the courier service to deliver an accepted order."},),
-    primary_tool="menu_db",
 ))
 
 _register(TaskType(
@@ -532,14 +485,10 @@ _register(TaskType(
     example_output={"temperature": 22.5, "precipitation": 5.0, "weatherCondition": "cloudy"},
     question_template="What is the weather forecast for {location} on {date}?",
     answer_template='The weather forecast for {location}, on {date} is as follows: "{weatherCondition_cap}, {temperature} degrees Celsius, with a precipitation of {precipitation} mm."',
-    parse_question=_weather_parse_q,
-    parse_answer=_weather_parse_a,
-    answer_context=_weather_answer_ctx,
     make_payload=lambda rng: {"location": rng.choice(CITIES), "date": rng.choice(DATES)},
     steps=({"tool": "weather_db", "args": {"location": "$input.location", "date": "$input.date"},
             "bind": "result"},),
     output_template=_passthrough_output(("temperature", "precipitation", "weatherCondition")),
-    primary_tool="weather_db",
 ))
 
 _register(TaskType(
@@ -562,10 +511,6 @@ _register(TaskType(
     example_output={"fare": 58.5, "eta_minutes": 9, "driver": "D-204"},
     question_template="Please send a taxi from {pickup} to {dropoff} at {time}.",
     answer_template="A taxi is booked from {pickup} to {dropoff} at {time}: driver {driver}, fare {fare} USD, arriving in {eta_minutes} minutes.",
-    parse_question=lambda text: _groups(_TAXI_Q, text),
-    parse_answer=lambda text: (g := _groups(_TAXI_A, text)) and _coerce(
-        g, numbers=("fare",), integers=("eta_minutes",)),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {
         "pickup": rng.choice(PLACES),
         "dropoff": rng.choice(PLACES),
@@ -574,7 +519,6 @@ _register(TaskType(
     steps=({"tool": "taxi_dispatch", "args": {"pickup": "$input.pickup", "dropoff": "$input.dropoff",
                                               "time": "$input.time"}, "bind": "result"},),
     output_template=_passthrough_output(("fare", "eta_minutes", "driver")),
-    primary_tool="taxi_dispatch",
 ))
 
 _register(TaskType(
@@ -598,11 +542,6 @@ _register(TaskType(
     example_output={"hotel": "Grand Meridian", "price_per_night": 140.0, "available": True},
     question_template="Please book a hotel room in {city} checking in {check_in} for {nights} nights for {guests} guests.",
     answer_template="Booked {hotel} in {city}: {price_per_night} USD per night, available: {available}.",
-    parse_question=lambda text: (g := _groups(_HOTEL_Q, text)) and _coerce(
-        g, integers=("nights", "guests")),
-    parse_answer=lambda text: (g := _groups(_HOTEL_A, text)) and _coerce(
-        g, numbers=("price_per_night",), booleans=("available",)),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {
         "city": rng.choice(CITIES),
         "check_in": rng.choice(DATES),
@@ -613,7 +552,6 @@ _register(TaskType(
                                          "nights": "$input.nights", "guests": "$input.guests"},
             "bind": "result"},),
     output_template=_passthrough_output(("hotel", "price_per_night", "available")),
-    primary_tool="hotel_db",
 ))
 
 _register(TaskType(
@@ -636,9 +574,6 @@ _register(TaskType(
     example_output={"confirmation": "MT-7301", "price_total": 24.0},
     question_template="Please buy {seats} tickets for {movie} in {city} on {date}.",
     answer_template="Tickets confirmed ({confirmation}): {seats} seats for {movie}, total {price_total} USD.",
-    parse_question=lambda text: (g := _groups(_MOVIE_Q, text)) and _coerce(g, integers=("seats",)),
-    parse_answer=lambda text: (g := _groups(_MOVIE_A, text)) and _coerce(g, numbers=("price_total",)),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {
         "movie": rng.choice(MOVIES),
         "city": rng.choice(CITIES),
@@ -649,7 +584,6 @@ _register(TaskType(
                                            "date": "$input.date", "seats": "$input.seats"},
             "bind": "result"},),
     output_template=_passthrough_output(("confirmation", "price_total")),
-    primary_tool="box_office",
 ))
 
 _register(TaskType(
@@ -670,14 +604,9 @@ _register(TaskType(
     example_output={"congestion_level": "moderate", "average_speed_kmh": 32, "incident_count": 2},
     question_template="What is the current traffic situation in {area}?",
     answer_template="Traffic in {area}: {congestion_level} congestion, average speed {average_speed_kmh} km/h, {incident_count} incidents reported.",
-    parse_question=lambda text: _groups(_TRAFFIC_Q, text),
-    parse_answer=lambda text: (g := _groups(_TRAFFIC_A, text)) and _coerce(
-        g, integers=("average_speed_kmh", "incident_count")),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {"area": rng.choice(AREAS)},
     steps=({"tool": "traffic_db", "args": {"area": "$input.area"}, "bind": "result"},),
     output_template=_passthrough_output(("congestion_level", "average_speed_kmh", "incident_count")),
-    primary_tool="traffic_db",
 ))
 
 _register(TaskType(
@@ -700,9 +629,6 @@ _register(TaskType(
     example_output={"flight_number": "AM204", "departure_time": "10:35", "price": 421.0},
     question_template="Please find a flight from {origin} to {destination} on {date}.",
     answer_template="Flight {flight_number} from {origin} to {destination} departs at {departure_time}, price {price} USD.",
-    parse_question=lambda text: _groups(_FLIGHT_Q, text),
-    parse_answer=lambda text: (g := _groups(_FLIGHT_A, text)) and _coerce(g, numbers=("price",)),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {
         "origin": rng.choice(AIRPORTS),
         "destination": rng.choice(AIRPORTS),
@@ -711,7 +637,6 @@ _register(TaskType(
     steps=({"tool": "flight_db", "args": {"origin": "$input.origin", "destination": "$input.destination",
                                           "date": "$input.date"}, "bind": "result"},),
     output_template=_passthrough_output(("flight_number", "departure_time", "price")),
-    primary_tool="flight_db",
 ))
 
 _register(TaskType(
@@ -734,9 +659,6 @@ _register(TaskType(
     example_output={"model": "midsize sedan", "price_per_day": 45.0, "confirmation": "CR-5520"},
     question_template="Please rent a car in {city} starting {start_date} for {days} days.",
     answer_template="Reserved a {model} in {city}: {price_per_day} USD per day, confirmation {confirmation}.",
-    parse_question=lambda text: (g := _groups(_RENTAL_Q, text)) and _coerce(g, integers=("days",)),
-    parse_answer=lambda text: (g := _groups(_RENTAL_A, text)) and _coerce(g, numbers=("price_per_day",)),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {
         "city": rng.choice(CITIES),
         "start_date": rng.choice(DATES),
@@ -745,7 +667,6 @@ _register(TaskType(
     steps=({"tool": "rental_db", "args": {"city": "$input.city", "start_date": "$input.start_date",
                                           "days": "$input.days"}, "bind": "result"},),
     output_template=_passthrough_output(("model", "price_per_day", "confirmation")),
-    primary_tool="rental_db",
 ))
 
 _register(TaskType(
@@ -769,9 +690,6 @@ _register(TaskType(
     example_output={"restaurant": "Olive & Thyme", "table": "T-8", "confirmed": True},
     question_template="Please reserve a table for {party_size} in {city} on {date} at {time}.",
     answer_template="Reserved a table for {party_size} at {restaurant} ({table}) on {date} at {time}, confirmed: {confirmed}.",
-    parse_question=lambda text: (g := _groups(_TABLE_Q, text)) and _coerce(g, integers=("party_size",)),
-    parse_answer=lambda text: (g := _groups(_TABLE_A, text)) and _coerce(g, booleans=("confirmed",)),
-    answer_context=_simple_answer_ctx,
     make_payload=lambda rng: {
         "city": rng.choice(CITIES),
         "date": rng.choice(DATES),
@@ -782,7 +700,6 @@ _register(TaskType(
                                          "time": "$input.time", "party_size": "$input.party_size"},
             "bind": "result"},),
     output_template=_passthrough_output(("restaurant", "table", "confirmed")),
-    primary_tool="table_db",
 ))
 
 
@@ -860,11 +777,11 @@ def task_for_protocol_title(title: str) -> TaskType | None:
 
 
 def format_question(task: TaskType, payload: dict) -> str:
-    return task.question_template.format(**{k: fmt_value(v) for k, v in payload.items()})
+    return task._question.format(payload)
 
 
 def format_answer(task: TaskType, payload: dict, result: dict) -> str:
-    return task.answer_template.format(**task.answer_context(payload, result))
+    return task._answer.format({**payload, **result})
 
 
 def sender_routine_spec(task: TaskType, protocol_hash: str) -> dict:

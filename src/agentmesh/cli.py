@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .documents import DocumentError, TamperError, compute_hash, document_filename, verify_document
-from .gateway import CostLedger, DEFAULT_PRICES, LiveChatBackend, load_price_table
+from .gateway import CostLedger, DEFAULT_PRICES, LiveChatBackend, parse_price_table
 from .registry import RegistryIntegrityError, RegistryStore
 from .runtime import Agent, AgentConfig
 from .scripted import ScriptedBackend
@@ -106,8 +106,9 @@ def cmd_serve_agent(args) -> int:
     prices = dict(DEFAULT_PRICES)
     if args.prices:
         try:
-            prices = load_price_table(args.prices)
-        except (OSError, ValueError, KeyError) as exc:
+            with open(args.prices, "r", encoding="utf-8") as fh:
+                prices = parse_price_table(json.load(fh))
+        except (OSError, ValueError) as exc:
             _err(f"bad price table: {exc}")
             return EXIT_CONFIG
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{40}$")
+_JSON_DECODER = json.JSONDecoder()
 
 _NAME_PREFIX = "Name: "
 _DESC_PREFIX = "Description: "
@@ -213,34 +214,14 @@ def verify_document(text: str, expected: str) -> ProtocolDocument:
 # ── worked examples ──────────────────────────────────────────────────
 
 def _json_object_after(text: str, start: int):
+    """The JSON object that opens at the first ``{`` from *start*, or None."""
     opener = text.find("{", start)
     if opener < 0:
         return None
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(opener, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                try:
-                    return json.loads(text[opener:i + 1])
-                except ValueError:
-                    return None
-    return None
+    try:
+        return _JSON_DECODER.raw_decode(text, opener)[0]
+    except ValueError:
+        return None
 
 
 def extract_worked_example(doc: ProtocolDocument):

@@ -83,17 +83,20 @@ DEFAULT_PRICES: dict[str, ModelPrice] = {
 }
 
 
-def load_price_table(path: str) -> dict[str, ModelPrice]:
-    """Load a price table from a JSON file of
-    ``{model_id: {"prompt_per_million": x, "completion_per_million": y}}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+def parse_price_table(raw) -> dict[str, ModelPrice]:
+    """Read a decoded price table of
+    ``{model_id: {"prompt_per_million": x, "completion_per_million": y}}``;
+    any other shape raises ValueError."""
+    if not isinstance(raw, dict):
+        raise ValueError("a price table must be an object")
     table = {}
     for model_id, prices in raw.items():
-        table[model_id] = ModelPrice(
-            float(prices["prompt_per_million"]),
-            float(prices["completion_per_million"]),
-        )
+        try:
+            table[model_id] = ModelPrice(float(prices["prompt_per_million"]),
+                                         float(prices["completion_per_million"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"price of {model_id!r} must be an object with numeric "
+                             f"prompt_per_million and completion_per_million") from exc
     return table
 
 

@@ -106,6 +106,9 @@ class EscalationThresholds:
     server_negotiate_after: int = 10
 
     def __post_init__(self):
+        counts = (self.use_existing_after, self.negotiate_after, self.server_negotiate_after)
+        if any(type(count) is not int for count in counts):
+            raise ValueError(f"escalation thresholds must be ints, not {counts!r}")
         if not (0 < self.use_existing_after <= self.negotiate_after):
             raise ValueError("need 0 < use_existing_after <= negotiate_after")
 

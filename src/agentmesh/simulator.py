@@ -33,7 +33,8 @@ from dataclasses import dataclass, field, replace
 
 from . import catalog
 from .envelope import STATUS_SUCCESS
-from .gateway import Activity, CostLedger, CostSummary, DEFAULT_PRICES, ModelPrice, summarize
+from .gateway import (Activity, CostLedger, CostSummary, DEFAULT_PRICES, ModelPrice,
+                      parse_price_table, summarize)
 from .registry import RegistryStore
 from .routines import SENDER
 from .runtime import Agent, AgentConfig, EscalationThresholds, ToolDescriptor
@@ -112,13 +113,24 @@ class ScenarioConfig:
         if "task_filter" in raw:
             raw["task_filter"] = tuple(raw["task_filter"])
         if "prices" in raw:
-            raw["prices"] = {model: ModelPrice(float(p["prompt_per_million"]),
-                                               float(p["completion_per_million"]))
-                             for model, p in raw["prices"].items()}
+            raw["prices"] = parse_price_table(raw["prices"])
         if "registry_peers" in raw:
-            raw["registry_peers"] = {rid: tuple(peers)
-                                     for rid, peers in raw["registry_peers"].items()}
-        return cls(**raw)
+            peer_map = raw["registry_peers"]
+            if not isinstance(peer_map, dict) or not peer_map:
+                raise ValueError(f"registry_peers must be a non-empty object, not {peer_map!r}")
+            raw["registry_peers"] = {rid: tuple(peers) for rid, peers in peer_map.items()}
+        config = cls(**raw)
+        if config.total_queries < config.n_users:
+            raise ValueError(f"total_queries must be at least n_users ({config.n_users}), "
+                             f"not {config.total_queries}")
+        for task_type in config.task_filter:
+            if task_type not in catalog.CATALOG:
+                raise ValueError(f"task_filter names no catalog task type: {task_type!r}")
+        for rid, peers in config.registry_peers.items():
+            for peer in peers:
+                if peer not in config.registry_peers:
+                    raise ValueError(f"registry_peers: {rid} names no registry: {peer!r}")
+        return config
 
 
 @dataclass(frozen=True)
@@ -262,9 +274,12 @@ class Scenario:
         tools: list[ToolDescriptor] = []
         for task_type in SERVER_KINDS[kind]:
             task = catalog.CATALOG[task_type]
-            tool_kind = "database" if task.primary_tool.endswith("_db") else "mock"
-            tools.append(ToolDescriptor(task.primary_tool, tool_kind,
-                                        description=task.purpose, task_type=task_type))
+            external = {raw["name"] for raw in task.server_tools}
+            # Each task has one step tool of its own; the rest call peers.
+            own = next(step["tool"] for step in task.steps if step["tool"] not in external)
+            tool_kind = "database" if own.endswith("_db") else "mock"
+            tools.append(ToolDescriptor(own, tool_kind, description=task.purpose,
+                                        task_type=task_type))
             for raw in task.server_tools:
                 tools.append(ToolDescriptor(
                     name=raw["name"], kind="external", description=raw["description"],

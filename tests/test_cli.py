@@ -147,7 +147,14 @@ class TestRunSim:
                     {"kind": "network", "share_period": 2.5},
                     {"kind": "network", "transport": "htp"},
                     {"kind": "network", "failure_rate": 1.5},
-                    {"kind": "network", "failure_rate": "low"}):
+                    {"kind": "network", "failure_rate": "low"},
+                    {"kind": "network", "n_users": 3, "total_queries": 2},
+                    {"kind": "network", "task_filter": ["nope"]},
+                    {"kind": "network", "registry_peers": {"db1": ["db9"]}},
+                    {"kind": "network", "registry_peers": ["db1"]},
+                    {"kind": "network", "registry_peers": {}},
+                    {"kind": "network", "thresholds": {"server_negotiate_after": "x"}},
+                    {"kind": "network", "prices": {"gpt-4o": {"prompt_per_million": 1.0}}}):
             scenario.write_text(json.dumps(raw))
             code, _, err = run_cli("run-sim", str(scenario), capsys=capsys)
             assert code == 2, raw

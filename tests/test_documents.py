@@ -187,6 +187,18 @@ class TestWorkedExample:
     def test_absent_example(self):
         assert extract_worked_example(parse_document("no example here\n")) is None
 
+    def test_braces_and_quotes_inside_strings(self):
+        text = ('Example\n\nInput:\n\n  {"note": "a } b { c", "quote": "say \\"hi}\\""}\n\n'
+                'Output:\n\n  {"ok": "}{", "nested": {"x": "\\\\"}} trailing }\n')
+        assert extract_worked_example(parse_document(text)) == (
+            {"note": "a } b { c", "quote": 'say "hi}"'},
+            {"ok": "}{", "nested": {"x": "\\"}},
+        )
+
+    def test_unterminated_example(self):
+        text = 'Example\n\nInput:\n\n  {"a": 1}\n\nOutput:\n\n  {"b": "}"\n'
+        assert extract_worked_example(parse_document(text)) is None
+
 
 class TestFileStore:
     def test_save_load_round_trip(self, tmp_path):
