@@ -15,14 +15,16 @@ import os
 import sys
 from dataclasses import replace
 
-from .documents import DocumentError, TamperError, compute_hash, document_filename, verify_document
+from .documents import (DocumentError, TamperError, compute_hash, document_filename,
+                        load_document, normalize_hash, save_document,
+                        verify_document)
 from .gateway import CostLedger, DEFAULT_PRICES, LiveChatBackend, parse_price_table
 from .registry import RegistryIntegrityError, RegistryStore
 from .runtime import Agent, AgentConfig
 from .scripted import ScriptedBackend
 from .serve import HostServer
-from .simulator import (MODE_AGORA, MODE_NL_ONLY, ScenarioConfig, emit_report,
-                        load_scenario_file, run_chain_demo, run_paired,
+from .simulator import (MODE_AGORA, MODE_NL_ONLY, ScenarioConfig, chain_config,
+                        emit_report, load_scenario_file, run_paired,
                         run_scenario, run_two_agent_demo, window_average)
 from .transport import Network
 
@@ -50,39 +52,43 @@ def cmd_hash(args) -> int:
     return EXIT_OK
 
 
+def _fetch_verified(digest: str, store: str | None, source: str):
+    """The document *digest* names, from *store* when a copy there verifies,
+    else from *source*, filling the store. Returns ``(document, path in the
+    store or None)``; raises TransportError, or DocumentError on bad bytes."""
+    cached = os.path.join(store, document_filename(digest)) if store else None
+    if cached and os.path.exists(cached):
+        try:
+            return load_document(cached), cached
+        except (DocumentError, OSError) as exc:
+            _err(f"cached copy rejected, fetching from the source: {exc}")
+    doc = verify_document(Network().fetch_text(source), digest)
+    if store:
+        save_document(doc, store)
+    return doc, cached
+
+
 def cmd_fetch(args) -> int:
-    digest = args.hash.lower()
-    if args.store:
-        cached = os.path.join(args.store, document_filename(digest))
-        if os.path.exists(cached):
-            out = args.out or cached
-            if out != cached:
-                with open(cached, "r", encoding="utf-8", newline="") as fh:
-                    text = fh.read()
-                with open(out, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-            print(out)
-            return EXIT_OK
-    network = Network()
     try:
-        text = network.fetch_text(args.source)
-    except Exception as exc:  # noqa: BLE001
-        _err(f"fetch failed: {exc}")
-        return EXIT_OTHER
+        digest = normalize_hash(args.hash)
+    except DocumentError as exc:
+        _err(str(exc))
+        return EXIT_CONFIG
     try:
-        verify_document(text, digest)
+        doc, cached = _fetch_verified(digest, args.store, args.source)
     except TamperError as exc:
         _err(f"integrity failure: {exc}")
         return EXIT_INTEGRITY
     except DocumentError as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    out = args.out or document_filename(digest)
-    if args.store and not args.out:
-        os.makedirs(args.store, exist_ok=True)
-        out = os.path.join(args.store, document_filename(digest))
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    except Exception as exc:  # noqa: BLE001
+        _err(f"fetch failed: {exc}")
+        return EXIT_OTHER
+    out = args.out or cached or document_filename(digest)
+    if out != cached:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(doc.raw_text)
     print(out)
     return EXIT_OK
 
@@ -165,6 +171,7 @@ def cmd_serve_registry(args) -> int:
 def _print_scenario(result, baseline=None) -> None:
     print(f"mode: {result.config.mode}")
     print(f"queries: {len(result.records)}")
+    print(f"failed_queries: {result.failed_queries}")
     print(f"total_cost_usd: {result.total_cost:.6f}")
     print(f"model_invocations: {result.model_invocations}")
     print(f"distinct_pds: {result.final_pd_count}")
@@ -232,17 +239,13 @@ def cmd_run_sim(args) -> int:
         return EXIT_OK
 
     if kind == "chain":
-        result = run_chain_demo(orders=raw.get("orders", 9), seed=seed)
-        _print_scenario(result)
-        if args.out:
-            emit_report(result, args.out)
-        return EXIT_OK
-
-    try:
-        config = ScenarioConfig.from_dict({**raw, "seed": seed})
-    except (TypeError, ValueError) as exc:
-        _err(f"bad scenario config: {exc}")
-        return EXIT_CONFIG
+        config = chain_config(orders=raw.get("orders", 9), seed=seed)
+    else:
+        try:
+            config = ScenarioConfig.from_dict({**raw, "seed": seed})
+        except (TypeError, ValueError) as exc:
+            _err(f"bad scenario config: {exc}")
+            return EXIT_CONFIG
     mode = args.mode or config.mode
 
     if mode == "paired":

@@ -112,9 +112,6 @@ class ProtocolDocument:
     def description(self) -> str:
         return self.metadata.description if self.metadata else ""
 
-    def serialize(self) -> str:
-        return self.raw_text
-
 
 def _split_keepends(text: str) -> list[str]:
     # str.splitlines also breaks on \r, \v etc.; only \n delimits lines here
@@ -262,10 +259,14 @@ def save_document(doc: ProtocolDocument, directory: str) -> str:
 
 
 def load_document(path: str) -> ProtocolDocument:
-    """Read a ``<hash>.pd`` file and verify its content against the filename."""
+    """Read a ``<hash>.pd`` file and verify its content against the filename.
+    Raises DocumentError for bytes that are not UTF-8 or do not match."""
     digest = os.path.basename(path)
     if digest.endswith(".pd"):
         digest = digest[:-3]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc}") from exc
     return verify_document(text, digest)

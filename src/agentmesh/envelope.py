@@ -50,19 +50,11 @@ class RequestEnvelope:
     protocol_sources: tuple[str, ...] = ()
     body: str = ""
 
-    @property
-    def is_natural_language(self) -> bool:
-        return self.protocol_hash is None
-
 
 @dataclass(frozen=True)
 class ResponseEnvelope:
     status: str
     body: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_SUCCESS
 
 
 def _check_request(env: RequestEnvelope) -> None:
@@ -178,12 +170,6 @@ class WellknownMap:
         return cls(entries=tuple(sorted(
             (digest, tuple(sources)) for digest, sources in mapping.items()
         )))
-
-    def sources_for(self, digest: str) -> tuple[str, ...]:
-        for known, sources in self.entries:
-            if known == digest:
-                return sources
-        return ()
 
     def __contains__(self, digest: str) -> bool:
         return any(known == digest for known, _ in self.entries)

@@ -14,13 +14,18 @@ usage instead.
 from __future__ import annotations
 
 import enum
-import json
 import threading
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .transport import connect_failed
+
+# A completion request is made at most COMPLETION_ATTEMPTS times,
+# COMPLETION_BACKOFF_S apart, each waiting at most COMPLETION_TIMEOUT_S.
+COMPLETION_ATTEMPTS = 3
+COMPLETION_BACKOFF_S = 0.1
+COMPLETION_TIMEOUT_S = 60.0
 
 
 class Message(NamedTuple):
@@ -167,25 +172,16 @@ class CostSummary:
     total: float
     activity_totals: dict[str, float]
     activity_percentages: dict[str, float]
-    model_totals: dict[str, float]
-    cumulative: list[float]
 
 
 def summarize(ledger: CostLedger) -> CostSummary:
-    """Aggregate a ledger into totals, a per-activity breakdown, and the
-    cumulative cost series (one point per record)."""
-    records = ledger.records()
+    """Aggregate a ledger into its total and a per-activity breakdown."""
     activity_totals = {activity.value: 0.0 for activity in Activity}
-    model_totals: dict[str, float] = {}
-    cumulative = []
-    running = 0.0
-    for record in records:
+    total = 0.0
+    for record in ledger.records():
         activity_totals[record.activity.value] += record.cost
-        model_totals[record.model_id] = model_totals.get(record.model_id, 0.0) + record.cost
-        running += record.cost
-        cumulative.append(running)
-    # The same additions in the same order as the ledger's running total.
-    total = running
+        # The same additions in the same order as the ledger's running total.
+        total += record.cost
     if total > 0:
         percentages = {k: 100.0 * v / total for k, v in activity_totals.items()}
     else:
@@ -194,8 +190,6 @@ def summarize(ledger: CostLedger) -> CostSummary:
         total=total,
         activity_totals=activity_totals,
         activity_percentages=percentages,
-        model_totals=model_totals,
-        cumulative=cumulative,
     )
 
 
@@ -208,14 +202,10 @@ class LiveChatBackend(CompletionBackend):
     vendor-reported usage over the local token estimate.
     """
 
-    def __init__(self, endpoint: str, api_key: str, model_id: str,
-                 timeout: float = 60.0, attempts: int = 3, backoff: float = 0.1):
+    def __init__(self, endpoint: str, api_key: str, model_id: str):
         self.endpoint = endpoint
         self.api_key = api_key
         self.model_id = model_id
-        self.timeout = timeout
-        self.attempts = attempts
-        self.backoff = backoff
 
     def complete(self, conversation: list[Message]) -> tuple[str, TokenUsage]:
         import requests
@@ -226,11 +216,12 @@ class LiveChatBackend(CompletionBackend):
         }
         headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
         last_error: object = None
-        for attempt in range(self.attempts):
+        for attempt in range(COMPLETION_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff)
+                time.sleep(COMPLETION_BACKOFF_S)
             try:
-                resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
+                resp = requests.post(self.endpoint, json=payload, headers=headers,
+                                     timeout=COMPLETION_TIMEOUT_S)
             except requests.RequestException as exc:
                 # A completion the endpoint received may be billed, so only a
                 # request that never left is sent again.
@@ -252,4 +243,4 @@ class LiveChatBackend(CompletionBackend):
             except (requests.HTTPError, ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise BackendError(f"completion request failed: {exc}") from exc
             return reply, TokenUsage(prompt_tokens, completion_tokens)
-        raise BackendError(f"completion request failed after {self.attempts} attempts: {last_error}")
+        raise BackendError(f"completion request failed after {COMPLETION_ATTEMPTS} attempts: {last_error}")

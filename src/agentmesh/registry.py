@@ -26,8 +26,9 @@ import os
 import threading
 from urllib.parse import quote
 
-from .documents import (DocumentError, ProtocolDocument, document_filename,
-                        is_valid_hash, parse_document, verify_document)
+from .documents import (DocumentError, ProtocolDocument, is_valid_hash,
+                        load_document, parse_document, save_document,
+                        verify_document)
 from .transport import Network, StatusError, TransportError
 
 logger = logging.getLogger(__name__)
@@ -38,9 +39,10 @@ class RegistryIntegrityError(Exception):
 
 
 class RegistryStore:
-    """One protocol database; optionally disk-backed, optionally networked."""
+    """One protocol database, optionally disk-backed; *network* reaches its
+    peers."""
 
-    def __init__(self, registry_id: str, network: Network | None = None,
+    def __init__(self, registry_id: str, network: Network,
                  peers: tuple[str, ...] = (), root: str | None = None):
         self.registry_id = registry_id
         self.network = network
@@ -54,11 +56,8 @@ class RegistryStore:
     def _load(self) -> None:
         os.makedirs(self.root, exist_ok=True)
         for path in sorted(glob.glob(os.path.join(self.root, "*.pd"))):
-            digest = os.path.basename(path)[:-3]
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                text = fh.read()
             try:
-                doc = verify_document(text, digest)
+                doc = load_document(path)
             except DocumentError as exc:
                 raise RegistryIntegrityError(f"{path}: {exc}") from exc
             self._documents[doc.hash] = doc
@@ -73,9 +72,7 @@ class RegistryStore:
             if digest not in self._documents:
                 self._documents[digest] = doc
                 if self.root:
-                    with open(os.path.join(self.root, document_filename(digest)),
-                              "w", encoding="utf-8", newline="") as fh:
-                        fh.write(text)
+                    save_document(doc, self.root)
         return digest
 
     def get(self, digest: str) -> ProtocolDocument | None:
@@ -108,8 +105,6 @@ class RegistryStore:
         the number of documents transmitted. A peer whose listing fails is
         skipped. A document the peer refuses (any answer but 200) is skipped,
         and the rest of a peer's share once a post cannot reach it."""
-        if self.network is None:
-            return 0
         with self._lock:
             snapshot = sorted(self._documents.items())
         transmitted = 0
@@ -186,6 +181,3 @@ class RegistryClient:
             url += f"?query={quote(keyword, safe='')}"
         rows = json.loads(self.network.fetch_text(url))
         return [(row["hash"], row["name"], row["description"]) for row in rows]
-
-    def share(self) -> int:
-        return int(self.network.post_text(f"{self.base_url}/share", ""))

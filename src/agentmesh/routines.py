@@ -182,12 +182,6 @@ def _compile_schema(schema: dict) -> Callable[[Any], None]:
     return validate
 
 
-def validate_input(schema: dict, value: dict) -> None:
-    """Check *value* against a minimal object schema (required keys plus
-    per-property type names). Raises RoutineInputError on violation."""
-    _compile_schema(schema)(value)
-
-
 # ── template resolution ──────────────────────────────────────────────
 
 def _compile_reference(path: str) -> Resolver:
@@ -336,5 +330,11 @@ def save_routine(routine: Routine, directory: str) -> str:
 
 
 def load_routine(path: str) -> Routine:
-    with open(path, "r", encoding="utf-8") as fh:
-        return routine_from_spec(fh.read())
+    """Read a routine file; raises RoutineSpecError for bytes that are not
+    UTF-8 or a spec that is malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise RoutineSpecError(f"{path} is not UTF-8: {exc}") from exc
+    return routine_from_spec(text)

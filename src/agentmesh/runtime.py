@@ -3,7 +3,8 @@
 An agent serves the envelope endpoint and, on the client side, runs the
 escalation policy per (peer, task type): plain natural language first, a
 suitability check against advertised/registered protocols once exchanges
-repeat, and negotiation of a fresh protocol once they repeat further.
+repeat, and negotiation of a fresh protocol once they repeat further, when
+the agent has a registry to name as the protocol's source.
 Negotiated or adopted protocols are pinned; both sides then try to replace
 model handling with synthesized routines, after which repeated exchanges
 cost nothing. A sender runs its routine on the task payload as JSON would
@@ -35,8 +36,8 @@ import threading
 from dataclasses import dataclass, field, fields, replace
 
 from . import catalog, prompts
-from .documents import (DocumentError, ProtocolDocument, TamperError,
-                        compute_hash, extract_worked_example, parse_document,
+from .documents import (DocumentError, ProtocolDocument, compute_hash,
+                        extract_worked_example, load_document, parse_document,
                         save_document, verify_document)
 from .envelope import (STATUS_FAILURE, STATUS_REJECTED, STATUS_SUCCESS,
                        DecodeError, RequestEnvelope, ResponseEnvelope,
@@ -208,7 +209,6 @@ class ToolDescriptor:
     description: str = ""
     task_type: str = ""           # workload task type this tool serves/targets
     peer: str = ""                # external only: target agent id
-    schema: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -262,7 +262,6 @@ class Agent:
         self._negotiation_locks: dict[tuple[str, str], threading.Lock] = {}
 
         self.registry = RegistryClient(network, config.registry_url) if config.registry_url else None
-        self._store_document(parse_document(BOOTSTRAP_PD_TEXT), persist=False)
         if config.pd_store:
             self._load_store(config.pd_store)
 
@@ -274,18 +273,18 @@ class Agent:
             path = os.path.join(directory, fname)
             try:
                 if fname.endswith(".pd"):
-                    with open(path, "r", encoding="utf-8", newline="") as fh:
-                        self._store_document(verify_document(fh.read(), fname[:-3]), persist=False)
+                    doc = load_document(path)
+                    self._documents[doc.hash] = doc
                 elif fname.endswith(".routine"):
                     routine = load_routine(path)
                     self._routines[(routine.protocol_hash, routine.side)] = routine
             except (DocumentError, RoutineSpecError, OSError) as exc:
                 logger.warning("%s: skipping %s: %s", self.agent_id, fname, exc)
 
-    def _store_document(self, doc: ProtocolDocument, persist: bool = True) -> None:
+    def _store_document(self, doc: ProtocolDocument) -> None:
         with self._lock:
             self._documents[doc.hash] = doc
-        if persist and self.config.pd_store:
+        if self.config.pd_store:
             save_document(doc, self.config.pd_store)
 
     def _register_routine(self, routine: Routine) -> None:
@@ -340,9 +339,6 @@ class Agent:
 
     # ── wire host ──────────────────────────────────────────────────────
 
-    def base_url(self) -> str:
-        return f"mem://{self.agent_id}"
-
     def handle_request(self, method, path, query, body, sender_id) -> tuple[int, str, str]:
         if method == "POST" and path == "/":
             try:
@@ -360,8 +356,6 @@ class Agent:
             docs = dict(self._documents)
             routine_keys = set(self._routines)
         for digest, doc in docs.items():
-            if digest == BOOTSTRAP_HASH:
-                continue
             served = (digest, RECEIVER) in routine_keys
             if not served and self.config.tools:
                 inferred = catalog.classify(f"{doc.name} {doc.description}")
@@ -766,7 +760,10 @@ class Agent:
         count = self.state.record_interaction(key)
         mode = decide_mode(count, self.config.thresholds)
 
-        if mode is Mode.NEGOTIATE and not self.state.negotiation_failed(key):
+        # Without a registry there is no source to adopt a protocol from, so
+        # negotiating would not end language exchanges; stay on language.
+        if (mode is Mode.NEGOTIATE and self.registry is not None
+                and not self.state.negotiation_failed(key)):
             try:
                 self.negotiate(peer_id, task_type, task_description, my_side=SENDER)
             except NegotiationError as exc:

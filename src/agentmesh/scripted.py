@@ -67,12 +67,10 @@ class ScriptedBackend(CompletionBackend):
 
     def __init__(self, model_id: str = "gpt-4o",
                  usage_overrides: dict[str, TokenUsage] | None = None,
-                 failure_rate: float = 0.0, failure_seed: int = 0,
-                 stubborn_negotiator: bool = False):
+                 failure_rate: float = 0.0, failure_seed: int = 0):
         self.model_id = model_id
         self.usage_overrides = dict(usage_overrides or {})
         self.failure_rate = failure_rate
-        self.stubborn_negotiator = stubborn_negotiator
         self._fail_rng = random.Random(failure_seed)
         self._fail_lock = threading.Lock()
 
@@ -120,8 +118,7 @@ class ScriptedBackend(CompletionBackend):
         last_peer = _last_user_message(conversation)
 
         if side == "receiver":
-            if (last_peer and "I agree" in last_peer and task is not None
-                    and not self.stubborn_negotiator):
+            if last_peer and "I agree" in last_peer and task is not None:
                 text = "Great. Finalizing the protocol now.\n" + prompts.make_finalized(
                     catalog.pd_text(task))
                 return "negotiation_finalize", text

@@ -170,6 +170,10 @@ class ScenarioResult:
         return sum(r.model_invocations for r in self.records)
 
     @property
+    def failed_queries(self) -> int:
+        return sum(r.status != STATUS_SUCCESS for r in self.records)
+
+    @property
     def final_pd_count(self) -> int:
         return self.records[-1].pd_count if self.records else 0
 
@@ -393,14 +397,13 @@ class DemoReport:
     summary: CostSummary
 
 
-def break_even_point(setup_cost: float, nl_exchange_cost: float,
-                     protocol_exchange_cost: float = 0.0) -> int | None:
+def break_even_point(setup_cost: float, nl_exchange_cost: float) -> int | None:
     """Smallest number of protocol uses whose cumulative saving exceeds the
-    setup cost; None when a protocol exchange is no cheaper than language."""
-    saving = nl_exchange_cost - protocol_exchange_cost
-    if saving <= 0:
+    setup cost, a protocol exchange costing nothing; None when a language
+    exchange costs nothing either."""
+    if nl_exchange_cost <= 0:
         return None
-    return math.floor(setup_cost / saving) + 1
+    return math.floor(setup_cost / nl_exchange_cost) + 1
 
 
 def run_two_agent_demo(protocol_uses: int = 10, nl_exchanges: int = 5,
@@ -501,10 +504,13 @@ def run_chain_demo(orders: int = 9, seed: int = 5) -> ScenarioResult:
 # ── reports ──────────────────────────────────────────────────────────
 
 CSV_COLUMNS = ("index", "mode", "cost", "cumulative_cost", "model_invocations", "pd_count")
+AVERAGE_WINDOW = 100
 
 
-def window_average(values: list[float], window: int = 100) -> list[float]:
-    window = min(window, len(values)) or 1
+def window_average(values: list[float]) -> list[float]:
+    """The mean of each value and the ones before it, at most
+    ``AVERAGE_WINDOW`` in all."""
+    window = min(AVERAGE_WINDOW, len(values)) or 1
     out = []
     running = 0.0
     for i, value in enumerate(values):
@@ -537,6 +543,7 @@ def emit_report(result: ScenarioResult, out_dir: str,
         f"mode: {result.config.mode}",
         f"seed: {result.config.seed}",
         f"queries: {len(result.records)}",
+        f"failed_queries: {result.failed_queries}",
         f"total_cost_usd: {result.total_cost:.6f}",
         f"model_invocations: {result.model_invocations}",
         f"distinct_pds: {result.final_pd_count}",

@@ -20,6 +20,9 @@ from typing import Protocol
 from urllib.parse import parse_qsl, urlsplit
 
 SENDER_HEADER = "X-Sender-Id"
+ATTEMPTS = 3
+BACKOFF_S = 0.1
+TIMEOUT_S = 30.0
 
 
 class TransportError(Exception):
@@ -57,10 +60,7 @@ class Network:
     """Routes requests by URL scheme: mem:// to in-process hosts, http(s)://
     to the wire. One instance is shared by all agents of a simulation."""
 
-    def __init__(self, attempts: int = 3, backoff: float = 0.1, timeout: float = 30.0):
-        self.attempts = attempts
-        self.backoff = backoff
-        self.timeout = timeout
+    def __init__(self):
         self._hosts: dict[str, WireHost] = {}
         self._lock = threading.Lock()
         self._session = None
@@ -103,13 +103,13 @@ class Network:
             attempt += 1
             try:
                 resp = session.request(method, url, data=body.encode("utf-8"), headers=headers,
-                                       timeout=self.timeout, **settings)
+                                       timeout=TIMEOUT_S, **settings)
                 return resp.status_code, resp.text
             except requests.RequestException as exc:
-                if attempt >= self.attempts or not connect_failed(exc):
+                if attempt >= ATTEMPTS or not connect_failed(exc):
                     raise TransportError(
                         f"request to {url} failed after {attempt} attempt(s): {exc}") from exc
-            time.sleep(self.backoff)
+            time.sleep(BACKOFF_S)
 
     def _http_state(self, origin: str):
         """The session, made on first use, and the proxies, CA bundle and

@@ -11,8 +11,12 @@ import pytest
 from agentmesh.catalog import WEATHER_PD_TEXT
 from agentmesh.cli import main
 from agentmesh.documents import compute_hash
+from agentmesh.gateway import DEFAULT_PRICES, CostLedger, parse_price_table
 from agentmesh.registry import RegistryStore
+from agentmesh.runtime import Agent, AgentConfig
+from agentmesh.scripted import ScriptedBackend
 from agentmesh.serve import HostServer
+from agentmesh.simulator import ScenarioConfig, run_scenario
 from agentmesh.transport import Network
 
 WEATHER_HASH = compute_hash(WEATHER_PD_TEXT)
@@ -86,6 +90,33 @@ class TestFetchCommand:
         assert code == 0
         assert out.strip().endswith(f"{WEATHER_HASH}.pd")
 
+    def test_tampered_cache_is_fetched_again(self, tmp_path, capsys, pd_http_server):
+        store = tmp_path / "store"
+        store.mkdir()
+        cached = store / f"{WEATHER_HASH}.pd"
+        cached.write_text(WEATHER_PD_TEXT.replace("22.5", "99.9"), encoding="utf-8", newline="")
+        out_path = tmp_path / "fetched.pd"
+        code, out, err = run_cli("fetch", WEATHER_HASH,
+                                 f"{pd_http_server.url}/pd/{WEATHER_HASH}",
+                                 "--store", str(store), "--out", str(out_path), capsys=capsys)
+        assert code == 0
+        assert "cached copy rejected" in err
+        assert out_path.read_text(encoding="utf-8") == WEATHER_PD_TEXT
+        assert cached.read_text(encoding="utf-8") == WEATHER_PD_TEXT
+
+    def test_tampered_cache_and_unreachable_source_exit_1(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        cached = store / f"{WEATHER_HASH}.pd"
+        cached.write_bytes(b"\xff not utf-8")
+        out_path = tmp_path / "fetched.pd"
+        code, _, err = run_cli("fetch", WEATHER_HASH, "http://127.0.0.1:1/pd/x",
+                               "--store", str(store), "--out", str(out_path), capsys=capsys)
+        assert code == 1
+        assert "fetch failed" in err
+        assert not out_path.exists()
+        assert cached.read_bytes() == b"\xff not utf-8"
+
 
 class TestRunSim:
     def test_two_agent_summary_contains_break_even(self, capsys):
@@ -129,6 +160,32 @@ class TestRunSim:
                                capsys=capsys)
         assert code == 0
         assert "cost_ratio:" in out
+
+    def test_chain_takes_mode(self, capsys):
+        chain = os.path.join(CONFIGS, "chain.json")
+        code, out, _ = run_cli("run-sim", chain, "--mode", "natural_language_only",
+                               capsys=capsys)
+        assert code == 0
+        assert "mode: natural_language_only" in out
+        assert "distinct_pds: 0" in out
+        code, out, _ = run_cli("run-sim", chain, "--mode", "paired", capsys=capsys)
+        assert code == 0
+        assert "mode: agora" in out
+        assert "cost_ratio:" in out
+
+    def test_summary_counts_failed_queries(self, tmp_path, capsys):
+        raw = {"kind": "network", "name": "t", "seed": 3, "n_users": 4,
+               "total_queries": 40, "failure_rate": 0.3}
+        failed = sum(r.status != "success"
+                     for r in run_scenario(ScenarioConfig.from_dict(raw)).records)
+        assert failed > 0
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli("run-sim", str(scenario), "--out", str(out_dir), capsys=capsys)
+        assert code == 0
+        assert f"failed_queries: {failed}\n" in out
+        assert f"failed_queries: {failed}\n" in (out_dir / "summary.txt").read_text()
 
     def test_bad_scenario_value_exit_2(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
@@ -219,11 +276,13 @@ class TestServeCommands:
         assert "bind" in err
 
     def test_serve_registry_corrupt_store_exit_4(self, tmp_path, capsys):
-        root = tmp_path / "db"
-        root.mkdir()
-        (root / f"{WEATHER_HASH}.pd").write_text("wrong bytes", encoding="utf-8")
-        code, _, err = run_cli("serve-registry", str(root), capsys=capsys)
-        assert code == 4
+        for name, content in (("mismatch", b"wrong bytes"), ("non-utf8", b"Name: \xff\xfe\n")):
+            root = tmp_path / name
+            root.mkdir()
+            (root / f"{WEATHER_HASH}.pd").write_bytes(content)
+            code, _, err = run_cli("serve-registry", str(root), capsys=capsys)
+            assert code == 4, name
+            assert "integrity failure" in err, name
 
     def test_serve_agent_endpoint_live(self, tmp_path):
         """End to end through the console entry: wellknown answers."""
@@ -251,6 +310,41 @@ class TestServeCommands:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+
+def _load_agent_config(path):
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    config = AgentConfig.from_dict(raw)
+    Agent(config, ScriptedBackend(model_id=config.model_id), CostLedger(), Network())
+
+
+def _load_price_table(path):
+    with open(path, encoding="utf-8") as fh:
+        assert parse_price_table(json.load(fh)) == DEFAULT_PRICES
+
+
+def _run_scenario_file(path):
+    assert main(["run-sim", path]) == 0
+
+
+CONFIG_READERS = {
+    "agent_weather.json": _load_agent_config,
+    "prices.json": _load_price_table,
+    "chain.json": _run_scenario_file,
+    "desk_scale.json": _run_scenario_file,
+    "network_100.json": _run_scenario_file,
+    "two_agent.json": _run_scenario_file,
+}
+
+
+def test_every_shipped_config_loads(capsys):
+    """Each file under configs/ goes through the code that reads it."""
+    names = sorted(os.listdir(CONFIGS))
+    assert [name for name in names if name not in CONFIG_READERS] == []
+    for name in names:
+        CONFIG_READERS[name](os.path.join(CONFIGS, name))
+    assert "failed_queries: 0" in capsys.readouterr().out
 
 
 def _free_port() -> int:

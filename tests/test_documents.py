@@ -5,11 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from agentmesh.documents import (ParseError, ProtocolMetadata, ProtocolReference,
-                                 TamperError, compute_hash, extract_worked_example,
-                                 is_valid_hash, load_document, normalize_hash,
-                                 parse_document, render_document, save_document,
-                                 verify_document)
+from agentmesh.documents import (DocumentError, ParseError, ProtocolMetadata,
+                                 ProtocolReference, TamperError, compute_hash,
+                                 extract_worked_example, is_valid_hash,
+                                 load_document, normalize_hash, parse_document,
+                                 render_document, save_document, verify_document)
 from conftest import WEATHER_TEXT
 
 # Reference digests from the standard SHA1 test vectors.
@@ -99,7 +99,7 @@ class TestParseDocument:
         assert doc.preamble + doc.body == doc.raw_text == WEATHER_TEXT
 
     def test_serialize_is_identity(self):
-        assert parse_document(WEATHER_TEXT).serialize() == WEATHER_TEXT
+        assert parse_document(WEATHER_TEXT).raw_text == WEATHER_TEXT
 
 
 _names = st.text(
@@ -116,7 +116,7 @@ def test_render_parse_round_trip(name, description, body):
     assert doc.metadata == ProtocolMetadata(name, description)
     assert doc.body == body
     assert doc.preamble + doc.body == text
-    assert doc.serialize() == text
+    assert doc.raw_text == text
 
 
 @given(text=st.text(max_size=400))
@@ -125,7 +125,7 @@ def test_serialize_parse_identity_on_parseable_text(text):
         doc = parse_document(text)
     except ParseError:
         return
-    assert doc.serialize() == text
+    assert doc.raw_text == text
     assert doc.preamble + doc.body == text
 
 
@@ -137,7 +137,7 @@ def test_render_with_references_round_trip(body, n_refs):
     text = render_document(body, ProtocolMetadata("Some Protocol", "Does things."), refs)
     doc = parse_document(text)
     assert doc.references == refs
-    assert doc.serialize() == text
+    assert doc.raw_text == text
 
 
 class TestVerifyDocument:
@@ -214,3 +214,9 @@ class TestFileStore:
             fh.write("tampered")
         with pytest.raises(TamperError):
             load_document(path)
+
+    def test_load_rejects_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / f"{compute_hash(WEATHER_TEXT)}.pd"
+        path.write_bytes(b"Name: \xff\xfe\n")
+        with pytest.raises(DocumentError, match="UTF-8"):
+            load_document(str(path))

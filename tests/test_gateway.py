@@ -109,7 +109,6 @@ class TestSummarize:
     def test_empty_ledger(self):
         summary = summarize(CostLedger())
         assert summary.total == 0
-        assert summary.cumulative == []
         assert all(v == 0.0 for v in summary.activity_percentages.values())
 
     def test_two_records_partition(self):
@@ -121,21 +120,6 @@ class TestSummarize:
         assert summary.activity_percentages[Activity.NEGOTIATION.value] == pytest.approx(75.0)
         assert sum(summary.activity_percentages.values()) == pytest.approx(100.0, abs=0.1)
 
-    def test_cumulative_series_length_and_monotone(self):
-        ledger = CostLedger()
-        for i in range(7):
-            ledger.charge("gpt-4o", TokenUsage(100 * i, 0), Activity.SUITABILITY_CHECK)
-        summary = summarize(ledger)
-        assert len(summary.cumulative) == 7
-        assert summary.cumulative == sorted(summary.cumulative)
-
-    def test_per_model_totals(self):
-        ledger = CostLedger()
-        ledger.charge("gpt-4o", TokenUsage(1_000_000, 0), Activity.NATURAL_LANGUAGE)
-        ledger.charge("gemini-1.5-pro", TokenUsage(1_000_000, 0), Activity.NATURAL_LANGUAGE)
-        summary = summarize(ledger)
-        assert summary.model_totals["gpt-4o"] == pytest.approx(5.0)
-        assert summary.model_totals["gemini-1.5-pro"] == pytest.approx(3.5)
 
 
 class TestScriptedDeterminism:

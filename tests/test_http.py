@@ -10,7 +10,7 @@ import pytest
 import requests
 import urllib3.connection
 
-from agentmesh import catalog, serve
+from agentmesh import catalog, serve, transport
 from agentmesh.documents import compute_hash
 from agentmesh.envelope import parse_wellknown
 from agentmesh.gateway import CostLedger
@@ -211,12 +211,14 @@ class TestNetworkOverHttp:
             network.close()
             second.shutdown()
 
-    def test_post_is_not_replayed_after_a_read_timeout(self):
+    def test_post_is_not_replayed_after_a_read_timeout(self, monkeypatch):
+        monkeypatch.setattr(transport, "TIMEOUT_S", 0.2)
+        monkeypatch.setattr(transport, "BACKOFF_S", 0.01)
         release = threading.Event()
         host = _Fixed("late", release)
         server = HostServer(host)
         server.start_background()
-        network = Network(timeout=0.2, backoff=0.01)
+        network = Network()
         try:
             with pytest.raises(TransportError):
                 network.post_text(server.url + "/pd", "text")
@@ -226,20 +228,22 @@ class TestNetworkOverHttp:
             network.close()
             server.shutdown()
 
-    def test_refused_connection_is_retried(self, connects):
-        network = Network(backoff=0.01)
+    def test_refused_connection_is_retried(self, connects, monkeypatch):
+        monkeypatch.setattr(transport, "BACKOFF_S", 0.01)
+        network = Network()
         with pytest.raises(TransportError, match="3 attempt"):
             network.post_text(f"http://127.0.0.1:{_closed_port()}/pd", "text")
         assert len(connects) == 3
 
     def test_proxy_environment_is_honoured(self, registry_server, monkeypatch):
+        monkeypatch.setattr(transport, "BACKOFF_S", 0.01)
         server, _ = registry_server
         for name in ("NO_PROXY", "no_proxy"):
             monkeypatch.delenv(name, raising=False)
         for name in ("HTTP_PROXY", "http_proxy"):
             monkeypatch.setenv(name, f"http://127.0.0.1:{_closed_port()}")
         with pytest.raises(TransportError):
-            Network(backoff=0.01).fetch_text(server.url + "/pd")
+            Network().fetch_text(server.url + "/pd")
         for name in ("NO_PROXY", "no_proxy"):
             monkeypatch.setenv(name, "127.0.0.1")
         network = Network()

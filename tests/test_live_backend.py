@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from agentmesh import gateway
 from agentmesh.gateway import BackendError, LiveChatBackend, Message, TokenUsage
 
 
@@ -55,6 +56,11 @@ class _StubChatServer:
 CONVERSATION = [Message("system", "be brief"), Message("user", "hello")]
 
 
+@pytest.fixture
+def short_backoff(monkeypatch):
+    monkeypatch.setattr(gateway, "COMPLETION_BACKOFF_S", 0.01)
+
+
 def test_reply_and_vendor_usage():
     stub = _StubChatServer(usage={"prompt_tokens": 12, "completion_tokens": 7})
     try:
@@ -82,10 +88,10 @@ def test_local_token_estimate_when_vendor_omits_usage():
     assert usage == TokenUsage(4, 3)
 
 
-def test_bounded_retries_recover():
+def test_bounded_retries_recover(short_backoff):
     stub = _StubChatServer(fail_first=2, usage={"prompt_tokens": 1, "completion_tokens": 1})
     try:
-        backend = LiveChatBackend(stub.url, "k", "m", backoff=0.01)
+        backend = LiveChatBackend(stub.url, "k", "m")
         reply, _ = backend.complete(CONVERSATION)
     finally:
         stub.close()
@@ -93,10 +99,10 @@ def test_bounded_retries_recover():
     assert len(stub.requests) == 3
 
 
-def test_exhausted_retries_raise():
+def test_exhausted_retries_raise(short_backoff):
     stub = _StubChatServer(fail_first=99)
     try:
-        backend = LiveChatBackend(stub.url, "k", "m", backoff=0.01)
+        backend = LiveChatBackend(stub.url, "k", "m")
         with pytest.raises(BackendError, match="3 attempts"):
             backend.complete(CONVERSATION)
     finally:
@@ -104,10 +110,10 @@ def test_exhausted_retries_raise():
     assert len(stub.requests) == 3
 
 
-def test_client_error_is_not_retried():
+def test_client_error_is_not_retried(short_backoff):
     stub = _StubChatServer(fail_first=99, fail_status=400)
     try:
-        backend = LiveChatBackend(stub.url, "k", "m", backoff=0.01)
+        backend = LiveChatBackend(stub.url, "k", "m")
         with pytest.raises(BackendError, match="400"):
             backend.complete(CONVERSATION)
     finally:

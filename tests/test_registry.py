@@ -249,6 +249,13 @@ class TestDiskStore:
         with pytest.raises(RegistryIntegrityError):
             RegistryStore("db1", network, root=root)
 
+    def test_non_utf8_file_is_an_integrity_failure(self, tmp_path, network):
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / f"{WEATHER_HASH}.pd").write_bytes(b"Name: \xff\xfe\n")
+        with pytest.raises(RegistryIntegrityError, match="UTF-8"):
+            RegistryStore("db1", network, root=str(root))
+
 
 class TestWireSurface:
     def test_post_and_get(self, network):
@@ -275,8 +282,7 @@ class TestWireSurface:
     def test_share_endpoint(self, network):
         registries = chain(network)
         registries["db1"].submit(WEATHER_TEXT)
-        client = RegistryClient(network, "mem://db1")
-        assert client.share() == 1
+        assert network.post_text("mem://db1/share", "") == "1"
 
     def test_bad_digest_path_is_400(self, network):
         network.register("db1", RegistryStore("db1", network))

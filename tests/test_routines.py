@@ -14,7 +14,7 @@ from agentmesh.routines import (SENDER, Routine, RoutineExecutionError,
                                 RoutineInputError, RoutineSpecError, RoutineStep,
                                 as_decoded_json, execute_routine, load_routine,
                                 resolve_template, routine_from_spec, run_routine,
-                                save_routine, validate_input)
+                                save_routine)
 
 WEATHER_HASH = compute_hash(catalog.WEATHER_PD_TEXT)
 
@@ -72,6 +72,13 @@ class TestSpecParsing:
         assert execute_routine(moved, body, {}) == "London, UK"
         assert moved != sender_routine
         assert replace(sender_routine) == sender_routine
+
+
+def validate_input(schema: dict, value: dict) -> None:
+    """Run *value* through the schema check of a routine that takes *schema*."""
+    routine = routine_from_spec({"protocol_hash": WEATHER_HASH, "side": SENDER,
+                                 "input": schema, "output": "$input"})
+    run_routine(routine, value, {})
 
 
 class TestValidateInput:
@@ -326,6 +333,12 @@ class TestPersistence:
         path = save_routine(receiver_routine, str(tmp_path))
         assert path.endswith(f"{WEATHER_HASH}.receiver.routine")
         assert load_routine(path) == receiver_routine
+
+    def test_non_utf8_file_is_a_spec_error(self, tmp_path):
+        path = tmp_path / f"{WEATHER_HASH}.receiver.routine"
+        path.write_bytes(b'{"side": "\xff"}')
+        with pytest.raises(RoutineSpecError, match="UTF-8"):
+            load_routine(str(path))
 
 
 class TestCatalogSpecsValidateEverywhere:

@@ -24,6 +24,16 @@ NY_BODY = json.dumps({"date": "2023-10-01", "location": "New York"})
 NY_REPLY = {"temperature": 22.5, "precipitation": 5.0, "weatherCondition": "cloudy"}
 
 
+class StubbornBackend(ScriptedBackend):
+    """Keeps proposing and never finalizes a protocol."""
+
+    def _negotiation(self, system, conversation):
+        kind, reply = super()._negotiation(system, conversation)
+        if kind == "negotiation_finalize":
+            return "negotiation_proposal", "Here is my proposal: let us keep talking."
+        return kind, reply
+
+
 class FixedReplyBackend(CompletionBackend):
     model_id = "gpt-4o"
 
@@ -247,7 +257,7 @@ class TestNegotiation:
 
     def test_stubborn_responder_hits_round_limit(self, world):
         alice = world.add_agent("alice")
-        world.add_weather_server("bob", backend=ScriptedBackend(stubborn_negotiator=True))
+        world.add_weather_server("bob", backend=StubbornBackend())
         with pytest.raises(NegotiationError, match="10 rounds"):
             alice.negotiate("bob", "weather", "weather", my_side=SENDER)
 
@@ -397,7 +407,7 @@ class TestEscalationTrace:
         assert modes == ["natural_language", "natural_language", "check_existing", "protocol"]
 
     def test_failed_negotiation_falls_back_to_nl(self, world):
-        world.add_weather_server("bob", backend=ScriptedBackend(stubborn_negotiator=True))
+        world.add_weather_server("bob", backend=StubbornBackend())
         alice = world.add_agent("alice")
         payload = {"location": "Paris", "date": "2024-10-14"}
         modes = [alice.send_task("bob", "weather", payload, "weather")[1] for _ in range(6)]
@@ -405,6 +415,19 @@ class TestEscalationTrace:
         assert modes[5] == "natural_language"                  # no retry thrash
         responses = [alice.send_task("bob", "weather", payload, "weather")[0]]
         assert all(r.status == "success" for r in responses)
+
+    def test_sender_without_registry_stays_on_language(self, world):
+        # As configs/agent_weather.json: no registry, and a server that
+        # knows no peers, so it starts no negotiation either.
+        bob = world.add_weather_server(registry_url=None)
+        alice = world.add_agent("alice", registry_url=None)
+        bob.config.known_peers.clear()
+        payload = {"location": "Paris", "date": "2024-10-14"}
+        desc = catalog.CATALOG["weather"].task_description
+        sent = [alice.send_task("bob", "weather", payload, desc) for _ in range(12)]
+        assert [resp.status for resp, _ in sent] == ["success"] * 12
+        assert [mode for _, mode in sent] == ["natural_language"] * 12
+        assert not [r for r in world.ledger.records() if r.activity is Activity.NEGOTIATION]
 
     def test_server_initiated_negotiation_after_ten_nl(self, world):
         bob = world.add_weather_server()
@@ -689,6 +712,17 @@ class TestAgentStores:
             agent = world.add_agent("alice", pd_store=str(store))
         assert agent.get_document(WEATHER_HASH) is None
         assert any("skipping" in m for m in caplog.messages)
+
+    def test_non_utf8_store_files_are_skipped(self, world, tmp_path, caplog):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / f"{WEATHER_HASH}.pd").write_bytes(b"Name: \xff\xfe\n")
+        (store / f"{WEATHER_HASH}.sender.routine").write_bytes(b'{"side": "\xff"}')
+        with caplog.at_level("WARNING"):
+            agent = world.add_agent("alice", pd_store=str(store))
+        assert agent.get_document(WEATHER_HASH) is None
+        assert agent.get_routine(WEATHER_HASH, SENDER) is None
+        assert sum("skipping" in m and "UTF-8" in m for m in caplog.messages) == 2
 
     @pytest.mark.parametrize("spec", [
         {"protocol_hash": WEATHER_HASH, "side": "sender", "input": 5},

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from agentmesh import simulator
 from agentmesh.gateway import Activity
 from agentmesh.simulator import (Scenario, ScenarioConfig, break_even_point,
                                  build_workload, emit_report, run_chain_demo, run_paired,
@@ -38,7 +39,7 @@ class TestBreakEvenArithmetic:
         assert break_even_point(0.0, 0.020) == 1
 
     def test_no_saving_never_breaks_even(self):
-        assert break_even_point(0.043, 0.020, protocol_exchange_cost=0.020) is None
+        assert break_even_point(0.043, 0.0) is None
 
     def test_exact_divisibility_needs_one_more(self):
         # saving exactly equal after m uses is not yet cheaper
@@ -244,10 +245,11 @@ class TestEmitReport:
 
 class TestWindowAverage:
     def test_window_larger_than_series(self):
-        assert window_average([2.0, 4.0], window=100) == [2.0, 3.0]
+        assert window_average([2.0, 4.0]) == [2.0, 3.0]
 
-    def test_sliding_window(self):
-        out = window_average([1.0, 1.0, 4.0, 4.0], window=2)
+    def test_sliding_window(self, monkeypatch):
+        monkeypatch.setattr(simulator, "AVERAGE_WINDOW", 2)
+        out = window_average([1.0, 1.0, 4.0, 4.0])
         assert out == [1.0, 1.0, 2.5, 4.0]
 
     def test_empty(self):
