@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .documents import ProtocolMetadata, render_document
+from .routines import compile_template
 
 # ── deterministic value derivation ───────────────────────────────────
 
@@ -308,9 +309,13 @@ class TaskType:
     server_tools: tuple[dict, ...] = ()   # extra descriptors (external deps)
 
     def __post_init__(self):
-        # Each template is compiled once, when the catalog is built.
+        # Each template is compiled once, when the catalog is built; ``plan``
+        # holds each step as (tool, args resolver, bind).
         object.__setattr__(self, "_question", _Template(self.question_template, self.input_schema))
         object.__setattr__(self, "_answer", _Template(self.answer_template, self.output_schema))
+        object.__setattr__(self, "plan", tuple(
+            (step["tool"], compile_template(step["args"]), step["bind"]) for step in self.steps))
+        object.__setattr__(self, "resolve_output", compile_template(self.output_template))
 
     def parse_question(self, text: str) -> dict | None:
         """The payload a question in this task's template asks about, or None."""

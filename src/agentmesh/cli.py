@@ -98,7 +98,7 @@ def cmd_fetch(args) -> int:
 def _build_backend(raw: dict, model_id: str):
     kind = raw.get("backend", "scripted")
     if kind == "scripted":
-        return ScriptedBackend(model_id=model_id)
+        return ScriptedBackend()
     if kind == "live":
         endpoint = os.environ.get("AGENTMESH_LLM_URL")
         api_key = os.environ.get("AGENTMESH_LLM_KEY", "")

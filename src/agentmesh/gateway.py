@@ -56,8 +56,6 @@ class CompletionBackend:
     conversation yields the same reply and usage, across runs and threads.
     """
 
-    model_id: str = "unknown"
-
     def complete(self, conversation: list[Message]) -> tuple[str, TokenUsage]:
         raise NotImplementedError
 

@@ -202,7 +202,7 @@ def _compile_reference(path: str) -> Resolver:
     return lookup
 
 
-def _compile_template(template: Any) -> Resolver:
+def compile_template(template: Any) -> Resolver:
     """Compile *template* once into a function of the bindings that
     builds the resolved value, raising RoutineExecutionError on a bad
     reference."""
@@ -214,16 +214,12 @@ def _compile_template(template: Any) -> Resolver:
             return _compile_reference(template[1:])
         return lambda bindings: template
     if isinstance(template, dict):
-        items = tuple((k, _compile_template(v)) for k, v in template.items())
+        items = tuple((k, compile_template(v)) for k, v in template.items())
         return lambda bindings: {k: resolve(bindings) for k, resolve in items}
     if isinstance(template, list):
-        parts = tuple(_compile_template(v) for v in template)
+        parts = tuple(compile_template(v) for v in template)
         return lambda bindings: [resolve(bindings) for resolve in parts]
     return lambda bindings: template
-
-
-def resolve_template(template: Any, bindings: Mapping[str, Any]) -> Any:
-    return _compile_template(template)(bindings)
 
 
 # ── execution ────────────────────────────────────────────────────────
@@ -234,9 +230,9 @@ def _compile_routine(routine: Routine) -> Callable[[Any, Mapping[str, ToolRunner
     for step in routine.steps:
         if not isinstance(step.tool, str) or not isinstance(step.bind, str):
             raise RoutineSpecError("step tool and bind must be strings")
-        steps.append((step.tool, _compile_template(step.args), step.bind))
+        steps.append((step.tool, compile_template(step.args), step.bind))
     steps = tuple(steps)
-    output = _compile_template(routine.output_template)
+    output = compile_template(routine.output_template)
 
     def run(parsed: Any, tools: Mapping[str, ToolRunner]) -> str:
         validate(parsed)

@@ -17,7 +17,9 @@ handled by the model under that protocol; an unresolvable or unsupported
 hash is rejected; no hash means natural language. A server also counts
 natural-language communications across all peers and initiates a
 negotiation with the current sender when that count hits its threshold,
-resetting the count after any successful negotiation.
+resetting the count after any successful negotiation. An agent never
+starts a negotiation again for a pair whose negotiation failed, and without
+a registry it neither starts nor accepts one as the sender.
 
 An agent builds its tool table from its config. An external tool sends the
 task to a peer through the same escalation policy and returns the peer's
@@ -424,10 +426,7 @@ class Agent:
                 and sender_id and sender_id in self.config.known_peers):
             task_type = catalog.classify(doc.name if doc else body)
             if task_type:
-                try:
-                    self.negotiate(sender_id, task_type, task_type, my_side=RECEIVER)
-                except NegotiationError as exc:
-                    logger.info("%s: server-initiated negotiation failed: %s", self.agent_id, exc)
+                self._try_negotiate(sender_id, task_type, task_type, RECEIVER)
         return response
 
     def handle_with_model(self, body: str, doc: ProtocolDocument | None) -> str:
@@ -480,6 +479,9 @@ class Agent:
                 task_type, task_description, initiator_is_sender = (
                     opening if opening else ("general", message[:80], True))
                 my_side = RECEIVER if initiator_is_sender else SENDER
+                if my_side == SENDER and self.registry is None:
+                    # As in _try_negotiate: no registry to adopt the result from.
+                    return ResponseEnvelope(STATUS_REJECTED)
                 conv = {
                     "messages": [prompts.negotiation_system(
                         self.agent_id, my_side, task_type, task_description)],
@@ -525,6 +527,22 @@ class Agent:
             if key not in self._negotiation_locks:
                 self._negotiation_locks[key] = threading.Lock()
             return self._negotiation_locks[key]
+
+    def _try_negotiate(self, peer_id: str, task_type: str, task_description: str,
+                       my_side: str) -> bool:
+        """Negotiate unless the pair already failed or, as the sender, there
+        is no registry to adopt from. True on success; a failure marks the pair."""
+        key = (peer_id, task_type)
+        if (my_side == SENDER and self.registry is None) or self.state.negotiation_failed(key):
+            return False
+        try:
+            self.negotiate(peer_id, task_type, task_description, my_side)
+        except NegotiationError as exc:
+            logger.info("%s: negotiation with %s for %s failed: %s",
+                        self.agent_id, peer_id, task_type, exc)
+            self.state.mark_negotiation_failed(key)
+            return False
+        return True
 
     def negotiate(self, peer_id: str, task_type: str, task_description: str,
                   my_side: str = SENDER) -> ProtocolDocument:
@@ -590,13 +608,9 @@ class Agent:
             except TransportError as exc:
                 logger.warning("%s: registry submit failed: %s", self.agent_id, exc)
         self.state.reset_server_counter()
-        if my_side == SENDER:
-            if self.registry is not None:
-                self.state.adopt((peer_id, task_type), doc.hash,
-                                 (self.registry.pd_url(doc.hash),))
-            self.synthesize_routine(doc, SENDER)
-        else:
-            self.synthesize_routine(doc, RECEIVER)
+        if my_side == SENDER and self.registry is not None:
+            self.state.adopt((peer_id, task_type), doc.hash, (self.registry.pd_url(doc.hash),))
+        self.synthesize_routine(doc, my_side)
         return doc
 
     # ── suitability ────────────────────────────────────────────────────
@@ -751,43 +765,19 @@ class Agent:
     def _send_task_inner(self, peer_id: str, task_type: str, payload: dict,
                          task_description: str) -> tuple[ResponseEnvelope, str]:
         key = (peer_id, task_type)
-
+        path = "protocol"
         adopted = self.state.adopted(key)
+        if adopted is None:
+            mode = decide_mode(self.state.record_interaction(key), self.config.thresholds)
+            if ((mode is Mode.NEGOTIATE
+                 and self._try_negotiate(peer_id, task_type, task_description, SENDER))
+                    or (mode is Mode.CHECK_EXISTING
+                        and self._adopt_existing(peer_id, key, task_description))):
+                path = mode.value
+            adopted = self.state.adopted(key)
         if adopted:
             return self._query_via_protocol(peer_id, key, adopted, task_type,
-                                            task_description, payload), "protocol"
-
-        count = self.state.record_interaction(key)
-        mode = decide_mode(count, self.config.thresholds)
-
-        # Without a registry there is no source to adopt a protocol from, so
-        # negotiating would not end language exchanges; stay on language.
-        if (mode is Mode.NEGOTIATE and self.registry is not None
-                and not self.state.negotiation_failed(key)):
-            try:
-                self.negotiate(peer_id, task_type, task_description, my_side=SENDER)
-            except NegotiationError as exc:
-                logger.info("%s: negotiation with %s failed: %s", self.agent_id, peer_id, exc)
-                self.state.mark_negotiation_failed(key)
-            adopted = self.state.adopted(key)
-            if adopted:
-                return self._query_via_protocol(peer_id, key, adopted, task_type,
-                                                task_description, payload), "negotiate"
-        elif mode is Mode.CHECK_EXISTING:
-            self.state.mark_checked(key)
-            candidates = self.gather_candidates(peer_id)
-            digest = self.check_suitability(task_description, candidates)
-            if digest is not None:
-                sources = next(s for d, _, _, s in candidates if d == digest)
-                try:
-                    doc = self.resolve_protocol(digest, sources)
-                    self.state.adopt(key, digest, sources)
-                    self.synthesize_routine(doc, SENDER)
-                    adopted = self.state.adopted(key)
-                    return self._query_via_protocol(peer_id, key, adopted, task_type,
-                                                    task_description, payload), "check_existing"
-                except (ResolutionError, DocumentError, TransportError) as exc:
-                    logger.info("%s: adopting %.8s failed: %s", self.agent_id, digest, exc)
+                                            task_description, payload), path
 
         body = self.compose_body(task_type, task_description, payload, None)
         response = self._send(peer_id, RequestEnvelope(None, (), body))
@@ -796,6 +786,24 @@ class Agent:
             # costs one more model call to extract the fields.
             self.parse_reply(task_type, task_description, response.body)
         return response, "natural_language"
+
+    def _adopt_existing(self, peer_id: str, key, task_description: str) -> bool:
+        """Adopt a protocol the peer or the registry has if the backend judges
+        it suitable, and write its sender routine. True when one was adopted."""
+        self.state.mark_checked(key)
+        candidates = self.gather_candidates(peer_id)
+        digest = self.check_suitability(task_description, candidates)
+        if digest is None:
+            return False
+        sources = next(s for d, _, _, s in candidates if d == digest)
+        try:
+            doc = self.resolve_protocol(digest, sources)
+        except (ResolutionError, DocumentError, TransportError) as exc:
+            logger.info("%s: adopting %.8s failed: %s", self.agent_id, digest, exc)
+            return False
+        self.state.adopt(key, digest, sources)
+        self.synthesize_routine(doc, SENDER)
+        return True
 
     def _query_via_protocol(self, peer_id, key, adopted, task_type,
                             task_description, payload) -> ResponseEnvelope:

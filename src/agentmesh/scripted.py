@@ -24,9 +24,10 @@ import threading
 from . import catalog, prompts
 from .documents import parse_document
 from .gateway import BackendError, CompletionBackend, Message, TokenUsage, count_tokens
-from .routines import RoutineError, resolve_template
+from .routines import RoutineError
 
 _WORD_RE = re.compile(r"[a-z]{4,}")
+MIN_OVERLAP = 2    # shared content words that make a protocol suit a task
 
 # Generic words that shouldn't count as evidence of a protocol matching a task.
 _STOPWORDS = frozenset({
@@ -41,11 +42,10 @@ def content_words(text: str) -> set[str]:
     return set(_WORD_RE.findall(text.lower())) - _STOPWORDS
 
 
-def metadata_matches(task_description: str, name: str, description: str,
-                     min_overlap: int = 2) -> bool:
+def metadata_matches(task_description: str, name: str, description: str) -> bool:
     """Word-overlap suitability rule used by the scripted judge."""
     overlap = content_words(task_description) & content_words(f"{name} {description}")
-    return len(overlap) >= min_overlap
+    return len(overlap) >= MIN_OVERLAP
 
 
 def _field(text: str, label: str) -> str:
@@ -65,10 +65,8 @@ def _last_user_message(conversation: list[Message]) -> str | None:
 class ScriptedBackend(CompletionBackend):
     """Catalog-driven deterministic backend for both user and server agents."""
 
-    def __init__(self, model_id: str = "gpt-4o",
-                 usage_overrides: dict[str, TokenUsage] | None = None,
+    def __init__(self, usage_overrides: dict[str, TokenUsage] | None = None,
                  failure_rate: float = 0.0, failure_seed: int = 0):
-        self.model_id = model_id
         self.usage_overrides = dict(usage_overrides or {})
         self.failure_rate = failure_rate
         self._fail_rng = random.Random(failure_seed)
@@ -196,15 +194,14 @@ class ScriptedBackend(CompletionBackend):
             return "final_reply", f"Sorry, the request failed: {tool_results[-1]['error']}"
 
         bindings = {"input": payload}
-        for step, result in zip(task.steps, tool_results):
-            bindings[step["bind"]] = result
+        for (_, _, bind), result in zip(task.plan, tool_results):
+            bindings[bind] = result
 
         try:
-            if len(tool_results) < len(task.steps):
-                step = task.steps[len(tool_results)]
-                args = resolve_template(step["args"], bindings)
-                return "tool_call", prompts.format_tool_call(step["tool"], args)
-            result = resolve_template(task.output_template, bindings)
+            if len(tool_results) < len(task.plan):
+                tool, args, _ = task.plan[len(tool_results)]
+                return "tool_call", prompts.format_tool_call(tool, args(bindings))
+            result = task.resolve_output(bindings)
         except RoutineError as exc:
             message = {"error": f"cannot assemble reply: {exc}"}
             if protocol_mode:

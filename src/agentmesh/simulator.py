@@ -264,8 +264,7 @@ class Scenario:
                 known_peers={p: addresses[p] for p in agent_ids if p != agent_id},
                 registry_url=addresses[registry_ids[index % len(registry_ids)]],
             )
-            backend = ScriptedBackend(model_id=model_id, failure_rate=cfg.failure_rate,
-                                      failure_seed=cfg.seed + index)
+            backend = ScriptedBackend(failure_rate=cfg.failure_rate, failure_seed=cfg.seed + index)
             agent = Agent(config, backend, self.ledger, self.network)
             self.agents[agent_id] = agent
             self.network.register(agent_id, agent)
@@ -433,7 +432,7 @@ def run_two_agent_demo(protocol_uses: int = 10, nl_exchanges: int = 5,
             known_peers={p: a for p, a in addresses.items() if p != agent_id},
             registry_url="mem://db1",
         )
-        backend = ScriptedBackend(model_id=model_id, usage_overrides=overrides)
+        backend = ScriptedBackend(usage_overrides=overrides)
         agent = Agent(config, backend, ledger, network)
         network.register(agent_id, agent)
         return agent
@@ -489,16 +488,12 @@ def run_two_agent_demo(protocol_uses: int = 10, nl_exchanges: int = 5,
 # ── three-hop chain ─────────────────────────────────────────────────
 
 def chain_config(orders: int = 9, seed: int = 5) -> ScenarioConfig:
+    """Repeated food orders through restaurant -> courier -> traffic; after
+    warm-up the whole chain answers without model calls."""
     return ScenarioConfig(
         name="chain", seed=seed, n_users=1, total_queries=orders,
         types_per_user=1, task_filter=("food_order",),
     )
-
-
-def run_chain_demo(orders: int = 9, seed: int = 5) -> ScenarioResult:
-    """Repeated food orders through restaurant -> courier -> traffic; after
-    warm-up the whole chain answers without model calls."""
-    return run_scenario(chain_config(orders=orders, seed=seed))
 
 
 # ── reports ──────────────────────────────────────────────────────────

@@ -19,7 +19,7 @@ from agentmesh.envelope import (DecodeError, RequestEnvelope, ResponseEnvelope,
 from agentmesh.registry import RegistryIntegrityError, RegistryStore
 from agentmesh.routines import RECEIVER, SENDER, execute_routine
 from agentmesh.runtime import EscalationThresholds
-from agentmesh.simulator import (ScenarioConfig, run_chain_demo, run_paired,
+from agentmesh.simulator import (ScenarioConfig, chain_config, run_paired, run_scenario,
                                  run_two_agent_demo)
 from agentmesh.transport import Network
 from agentmesh.workload import WorkloadSpec, generate_workload, user_facing_types
@@ -192,7 +192,7 @@ def test_criterion_07_registry_propagation():
 
 
 def test_criterion_08_emergent_chain():
-    result = run_chain_demo(orders=9)
+    result = run_scenario(chain_config(orders=9))
     assert all(r.status == "success" for r in result.records)
     final = result.records[-1]
     assert final.model_invocations == 0 and final.cost == 0.0

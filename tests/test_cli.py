@@ -316,7 +316,7 @@ def _load_agent_config(path):
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     config = AgentConfig.from_dict(raw)
-    Agent(config, ScriptedBackend(model_id=config.model_id), CostLedger(), Network())
+    Agent(config, ScriptedBackend(), CostLedger(), Network())
 
 
 def _load_price_table(path):

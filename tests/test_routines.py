@@ -12,8 +12,8 @@ from agentmesh import catalog
 from agentmesh.documents import compute_hash
 from agentmesh.routines import (SENDER, Routine, RoutineExecutionError,
                                 RoutineInputError, RoutineSpecError, RoutineStep,
-                                as_decoded_json, execute_routine, load_routine,
-                                resolve_template, routine_from_spec, run_routine,
+                                as_decoded_json, compile_template, execute_routine,
+                                load_routine, routine_from_spec, run_routine,
                                 save_routine)
 
 WEATHER_HASH = compute_hash(catalog.WEATHER_PD_TEXT)
@@ -104,21 +104,21 @@ class TestValidateInput:
 
 class TestTemplates:
     def test_nested_lookup(self):
-        assert resolve_template("$a.b.c", {"a": {"b": {"c": 5}}}) == 5
+        assert compile_template("$a.b.c")({"a": {"b": {"c": 5}}}) == 5
 
     def test_literal_passthrough(self):
-        assert resolve_template({"x": "plain", "n": 3}, {}) == {"x": "plain", "n": 3}
+        assert compile_template({"x": "plain", "n": 3})({}) == {"x": "plain", "n": 3}
 
     def test_dollar_escape(self):
-        assert resolve_template("$$literal", {}) == "$literal"
+        assert compile_template("$$literal")({}) == "$literal"
 
     def test_unknown_binding(self):
         with pytest.raises(RoutineExecutionError):
-            resolve_template("$nope.x", {"input": {}})
+            compile_template("$nope.x")({"input": {}})
 
     def test_missing_field(self):
         with pytest.raises(RoutineExecutionError):
-            resolve_template("$input.absent", {"input": {}})
+            compile_template("$input.absent")({"input": {}})
 
 
 # The recursive interpreter that resolved templates on every call before
@@ -175,7 +175,7 @@ _BINDINGS = st.dictionaries(_NAMES.filter(lambda n: n != "nope"), _VALUES, max_s
 class TestCompiledResolverMatchesInterpreter:
     @given(_TEMPLATES, _BINDINGS)
     def test_resolve_template(self, template, bindings):
-        assert (_outcome(resolve_template, template, bindings)
+        assert (_outcome(lambda t, b: compile_template(t)(b), template, bindings)
                 == _outcome(_reference_resolve, template, bindings))
 
     @given(_TEMPLATES, st.dictionaries(_FIELDS, _VALUES, max_size=3))

@@ -35,8 +35,6 @@ class StubbornBackend(ScriptedBackend):
 
 
 class FixedReplyBackend(CompletionBackend):
-    model_id = "gpt-4o"
-
     def __init__(self, reply: str):
         self.reply = reply
 
@@ -428,6 +426,41 @@ class TestEscalationTrace:
         assert [resp.status for resp, _ in sent] == ["success"] * 12
         assert [mode for _, mode in sent] == ["natural_language"] * 12
         assert not [r for r in world.ledger.records() if r.activity is Activity.NEGOTIATION]
+
+    def test_sender_without_registry_refuses_server_negotiation(self, world):
+        # Both agents know each other, so the server's trigger fires at its
+        # 10th language query; the sender could never adopt the result.
+        bob = world.add_weather_server(registry_url=None)
+        alice = world.add_agent("alice", registry_url=None)
+        payload = {"location": "Paris", "date": "2024-10-14"}
+        desc = catalog.CATALOG["weather"].task_description
+        sent = [alice.send_task("bob", "weather", payload, desc) for _ in range(24)]
+        assert [resp.status for resp, _ in sent] == ["success"] * 24
+        assert [mode for _, mode in sent] == ["natural_language"] * 24
+        paid = {r.activity for r in world.ledger.records()}
+        assert Activity.NEGOTIATION not in paid
+        assert Activity.ROUTINE_IMPLEMENTATION not in paid
+        assert bob.state.negotiation_failed(("alice", "weather"))
+        assert alice._conversations == {}
+
+    def test_server_does_not_renegotiate_a_failed_pair(self, world):
+        bob = world.add_weather_server("bob", backend=StubbornBackend())
+        alice = world.add_agent("alice", thresholds=EscalationThresholds.unlimited())
+        payload = {"location": "Paris", "date": "2024-10-14"}
+        desc = catalog.CATALOG["weather"].task_description
+
+        def negotiations():
+            return sum(1 for r in world.ledger.records() if r.activity is Activity.NEGOTIATION)
+
+        for _ in range(10):
+            alice.send_task("bob", "weather", payload, desc)
+        failed = negotiations()
+        assert failed > 0                                      # the 10th query triggered one
+        sent = [alice.send_task("bob", "weather", payload, desc) for _ in range(13)]
+        assert [(resp.status, mode) for resp, mode in sent] == [
+            ("success", "natural_language")] * 13
+        assert negotiations() == failed
+        assert bob.state.negotiation_failed(("alice", "weather"))
 
     def test_server_initiated_negotiation_after_ten_nl(self, world):
         bob = world.add_weather_server()

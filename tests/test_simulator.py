@@ -7,6 +7,7 @@ import os
 import threading
 import time
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from agentmesh import simulator
 from agentmesh.gateway import Activity
 from agentmesh.simulator import (Scenario, ScenarioConfig, break_even_point,
-                                 build_workload, emit_report, run_chain_demo, run_paired,
+                                 build_workload, chain_config, emit_report, run_paired,
                                  run_scenario, run_two_agent_demo, window_average)
 
 DESK = ScenarioConfig(seed=13)
@@ -187,7 +188,7 @@ class TestPdCount:
 
 class TestChainScenario:
     def test_warm_chain_completes_without_model_calls(self):
-        result = run_chain_demo(orders=9)
+        result = run_scenario(chain_config(orders=9))
         assert all(r.status == "success" for r in result.records)
         final = result.records[-1]
         assert final.model_invocations == 0
@@ -195,7 +196,7 @@ class TestChainScenario:
         assert final.cost == 0.0
 
     def test_chain_negotiates_three_protocols(self):
-        result = run_chain_demo(orders=9)
+        result = run_scenario(chain_config(orders=9))
         assert result.final_pd_count >= 3     # food order, courier, traffic
 
 
@@ -265,6 +266,14 @@ class TestHttpTransportMode:
         assert all(r.status == "success" for r in result.records)
         in_process = run_scenario(replace(self.CONFIG, transport="inprocess"))
         assert result.signature() == in_process.signature()
+
+    def test_escalation_over_real_sockets(self, desk_pair):
+        # Negotiation, suitability checks and adoption each cross a
+        # HostServer here, and must leave the same trace as in process.
+        result = run_scenario(replace(DESK, transport="http"))
+        paths = Counter(r.mode for r in result.records)
+        assert paths["negotiate"] and paths["check_existing"], paths
+        assert result.signature() == desk_pair[0].signature()
 
     def test_every_address_is_a_socket(self):
         scenario = Scenario(self.CONFIG)
