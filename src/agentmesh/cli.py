@@ -62,7 +62,11 @@ def _fetch_verified(digest: str, store: str | None, source: str):
             return load_document(cached), cached
         except (DocumentError, OSError) as exc:
             _err(f"cached copy rejected, fetching from the source: {exc}")
-    doc = verify_document(Network().fetch_text(source), digest)
+    network = Network()
+    try:
+        doc = verify_document(network.fetch_text(source), digest)
+    finally:
+        network.close()
     if store:
         save_document(doc, store)
     return doc, cached

@@ -14,12 +14,14 @@ usage instead.
 from __future__ import annotations
 
 import enum
+import json
 import threading
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
+from urllib.parse import urlsplit
 
-from .transport import connect_failed
+from .transport import ConnectError, HttpClient, TransportError
 
 # A completion request is made at most COMPLETION_ATTEMPTS times,
 # COMPLETION_BACKOFF_S apart, each waiting at most COMPLETION_TIMEOUT_S.
@@ -204,41 +206,42 @@ class LiveChatBackend(CompletionBackend):
         self.endpoint = endpoint
         self.api_key = api_key
         self.model_id = model_id
+        self._client = HttpClient()
 
     def complete(self, conversation: list[Message]) -> tuple[str, TokenUsage]:
-        import requests
-
-        payload = {
+        payload = json.dumps({
             "model": self.model_id,
             "messages": [{"role": role, "content": content} for role, content in conversation],
-        }
+        }).encode("utf-8")
         headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
+        parts = urlsplit(self.endpoint)
         last_error: object = None
         for attempt in range(COMPLETION_ATTEMPTS):
             if attempt:
                 time.sleep(COMPLETION_BACKOFF_S)
             try:
-                resp = requests.post(self.endpoint, json=payload, headers=headers,
-                                     timeout=COMPLETION_TIMEOUT_S)
-            except requests.RequestException as exc:
-                # A completion the endpoint received may be billed, so only a
-                # request that never left is sent again.
-                if not connect_failed(exc):
-                    raise BackendError(f"completion request failed: {exc}") from exc
+                status, text = self._client.send("POST", parts, payload, headers,
+                                                 COMPLETION_TIMEOUT_S)
+            except ConnectError as exc:
                 last_error = exc
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
+            except TransportError as exc:
+                # A completion the endpoint received may be billed, so only a
+                # request that never left is sent again.
+                raise BackendError(f"completion request failed: {exc}") from exc
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
                 continue
+            if not 200 <= status < 300:
+                raise BackendError(f"completion request failed: HTTP {status}: {text[:200]}")
             try:
-                resp.raise_for_status()
-                data = resp.json()
+                data = json.loads(text)
                 reply = data["choices"][0]["message"]["content"]
                 usage = data.get("usage", {})
                 prompt_tokens = int(usage.get("prompt_tokens",
                                               sum(count_tokens(m.content) for m in conversation)))
                 completion_tokens = int(usage.get("completion_tokens", count_tokens(reply)))
-            except (requests.HTTPError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise BackendError(f"completion request failed: {exc}") from exc
             return reply, TokenUsage(prompt_tokens, completion_tokens)
         raise BackendError(f"completion request failed after {COMPLETION_ATTEMPTS} attempts: {last_error}")

@@ -29,7 +29,7 @@ from urllib.parse import quote
 from .documents import (DocumentError, ProtocolDocument, is_valid_hash,
                         load_document, parse_document, save_document,
                         verify_document)
-from .transport import Network, StatusError, TransportError
+from .transport import PLAIN_TEXT, Network, StatusError, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -138,24 +138,24 @@ class RegistryStore:
                        body: str, sender_id: str | None) -> tuple[int, str, str]:
         if method == "POST" and path == "/pd":
             try:
-                return 200, "text/plain", self.submit(body)
+                return 200, PLAIN_TEXT, self.submit(body)
             except DocumentError as exc:
-                return 400, "text/plain", str(exc)
+                return 400, PLAIN_TEXT, str(exc)
         if method == "GET" and path.startswith("/pd/"):
             digest = path[len("/pd/"):]
             if not is_valid_hash(digest):
-                return 400, "text/plain", f"bad digest: {digest}"
+                return 400, PLAIN_TEXT, f"bad digest: {digest}"
             doc = self.get(digest)
             if doc is None:
-                return 404, "text/plain", "not found"
-            return 200, "text/plain", doc.raw_text
+                return 404, PLAIN_TEXT, "not found"
+            return 200, PLAIN_TEXT, doc.raw_text
         if method == "GET" and path == "/pd":
             rows = [{"hash": h, "name": n, "description": d}
                     for h, n, d in self.query(query.get("query", ""))]
             return 200, "application/json", json.dumps(rows)
         if method == "POST" and path == "/share":
-            return 200, "text/plain", str(self.share_with_peers())
-        return 404, "text/plain", "not found"
+            return 200, PLAIN_TEXT, str(self.share_with_peers())
+        return 404, PLAIN_TEXT, "not found"
 
 
 class RegistryClient:

@@ -52,7 +52,7 @@ from .routines import (RECEIVER, SENDER, Routine, RoutineError,
                        RoutineSpecError, as_decoded_json, execute_routine,
                        load_routine, routine_from_spec, run_routine,
                        save_routine)
-from .transport import Network, NotFound, TransportError
+from .transport import PLAIN_TEXT, Network, NotFound, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -346,11 +346,11 @@ class Agent:
             try:
                 env = decode_request(body)
             except DecodeError as exc:
-                return 400, "text/plain", str(exc)
+                return 400, PLAIN_TEXT, str(exc)
             return 200, "application/json", encode_response(self.dispatch(env, sender_id))
         if method == "GET" and path == "/.wellknown":
             return 200, "application/json", build_wellknown(self.wellknown())
-        return 404, "text/plain", "not found"
+        return 404, PLAIN_TEXT, "not found"
 
     def wellknown(self) -> WellknownMap:
         entries: dict[str, list[str]] = {BOOTSTRAP_HASH: [BOOTSTRAP_SOURCE]}

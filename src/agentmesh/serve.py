@@ -18,7 +18,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
-from .transport import SENDER_HEADER, WireHost
+from .transport import PLAIN_TEXT, SENDER_HEADER, WireHost
 
 # Far above any envelope or protocol document the simulated workloads send
 # (the largest is under 2 KB).
@@ -69,13 +69,13 @@ def _make_handler(host: WireHost, quiet: bool):
                 # The rest of the stream cannot be trusted to start a request.
                 self.close_connection = True
                 status = 413 if isinstance(exc, _BodyTooLarge) else 400
-                ctype, text = "text/plain", f"bad request body: {exc}"
+                ctype, text = PLAIN_TEXT, f"bad request body: {exc}"
             else:
                 try:
                     status, ctype, text = host.handle_request(
                         method, parts.path, dict(parse_qsl(parts.query)), body, sender)
                 except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the socket
-                    status, ctype, text = 500, "text/plain", f"internal error: {exc}"
+                    status, ctype, text = 500, PLAIN_TEXT, f"internal error: {exc}"
             payload = text.encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", ctype)

@@ -3,9 +3,23 @@
 Hosts (agents, registries) implement ``handle_request(method, path, query,
 body, sender_id)`` returning ``(status, content_type, text)``. A Network
 routes client calls either to registered in-process hosts (``mem://name``
-URLs, the deterministic default for simulations) or over real HTTP(S) via
-one requests session per Network, which keeps connections open between
-calls. A request is retried only when it never reached the peer.
+URLs, the deterministic default for simulations) or over real HTTP(S).
+
+HTTP(S) goes through ``HttpClient``, a small client on the standard
+library's ``http.client``. It keeps a lock-guarded list of idle connections
+per origin (``scheme://host:port``), shared by every thread that uses it,
+and never holds more idle connections than the peak number of requests in
+flight to that origin. A pooled connection whose socket is readable has
+been closed by its peer (after its idle timeout, or a restart) and is
+discarded before anything is sent on it. The TCP connect is a step of its
+own: only its failure (refused, timed out, unreachable or unresolvable,
+also when connecting to a proxy) raises ``ConnectError``, and only then is a
+request made again. Once a request's bytes went out it is never resent
+(RFC 9110 §9.2.2); a read timeout or a dropped connection raises
+``TransportError``. Answers are decoded as UTF-8, the encoding of the wire
+in both directions. Proxies, the CA file and netrc credentials come from
+the environment, read once per origin (``HttpClient._route``). No cookie is
+kept and no redirect is followed.
 
 Deployments use HTTPS; plain HTTP and the mem scheme exist for tests and
 simulation.
@@ -14,12 +28,17 @@ simulation.
 from __future__ import annotations
 
 import os
+import select
+import socket
 import threading
 import time
-from typing import Protocol
-from urllib.parse import parse_qsl, urlsplit
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from typing import Callable, NamedTuple, Protocol
+from urllib.parse import SplitResult, parse_qsl, urlsplit
 
 SENDER_HEADER = "X-Sender-Id"
+# The hosts' text answers; the label lets outside clients decode them right.
+PLAIN_TEXT = "text/plain; charset=utf-8"
 ATTEMPTS = 3
 BACKOFF_S = 0.1
 TIMEOUT_S = 30.0
@@ -37,18 +56,188 @@ class NotFound(StatusError):
     """The peer answered 404."""
 
 
-def connect_failed(exc: Exception) -> bool:
-    """True when *exc*, raised by requests, shows that the request never
-    left this host: the connection to the peer, or to its proxy, was refused
-    or timed out. Any later failure may follow a request the peer received,
-    and a POST must not be applied twice (RFC 9110 §9.2.2)."""
-    from urllib3.exceptions import ConnectTimeoutError, ProxyError
+class ConnectError(TransportError):
+    """The TCP connection to the peer, or to its proxy, could not be opened:
+    nothing was sent, so the request may be made again."""
 
-    reason = getattr(exc.args[0] if exc.args else None, "reason", None)
-    if isinstance(reason, ProxyError):
-        reason = reason.original_error
-    # urllib3's NewConnectionError (refused, unresolvable) is a ConnectTimeoutError.
-    return isinstance(reason, ConnectTimeoutError)
+
+def _connect_tcp(address, timeout, source_address=None) -> socket.socket:
+    """``http.client``'s TCP connect, raising ConnectError on failure so that
+    it is told apart from every later step (tunnel, TLS handshake, send)."""
+    try:
+        return socket.create_connection(address, timeout, source_address)
+    except OSError as exc:
+        raise ConnectError(f"cannot connect to {address[0]}:{address[1]}: {exc}") from exc
+
+
+def _dropped(sock: socket.socket) -> bool:
+    """True when an idle kept-alive socket is readable: its peer has closed
+    it, or sent what nobody asked for, so it must not carry a request."""
+    if hasattr(select, "poll"):  # select() cannot watch descriptors past FD_SETSIZE
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class _Route(NamedTuple):
+    """How requests to one origin travel."""
+
+    connection: Callable[[], HTTPConnection]  # a new, unconnected connection
+    absolute_target: bool  # plain HTTP through a proxy: the target is the whole URL
+    headers: dict[str, str]  # sent with every request: credentials for the peer or the proxy
+
+
+class HttpClient:
+    """One pool of kept-alive HTTP(S) connections, safe to share between
+    threads. ``send`` makes one attempt; the caller decides on retries."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: dict[str, list[HTTPConnection]] = {}
+        self._routes: dict[str, _Route] = {}
+
+    def send(self, method: str, parts: SplitResult, body: bytes,
+             headers: dict[str, str], timeout: float) -> tuple[int, str]:
+        """Send one request to the URL *parts* and return the status and the
+        body, decoded as UTF-8. Raises ConnectError when the TCP connect
+        failed, and TransportError for any later failure."""
+        origin = f"{parts.scheme}://{parts.netloc}"
+        conn = None
+        try:
+            route = self._route(origin, parts)
+            conn = self._checkout(origin)
+            if conn is None:
+                conn = route.connection()
+                conn.timeout = timeout
+                conn.connect()
+            else:
+                conn.sock.settimeout(timeout)
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+            if route.absolute_target:
+                target = origin + target
+            conn.request(method, target, body, {**route.headers, **headers})
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, HTTPException, ValueError) as exc:
+            if conn is not None:
+                conn.close()
+            raise TransportError(f"{method} {parts.geturl()} failed: {exc!r}") from exc
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(origin, []).append(conn)
+        try:
+            return resp.status, data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TransportError(f"{method} {parts.geturl()}: the answer is not UTF-8") from exc
+
+    def _checkout(self, origin: str) -> HTTPConnection | None:
+        """The most recently used idle connection to *origin* that its peer
+        has not closed, or None."""
+        with self._lock:
+            idle = self._idle.get(origin)
+            while idle:
+                conn = idle.pop()
+                if not _dropped(conn.sock):
+                    return conn
+                conn.close()
+        return None
+
+    def _route(self, origin: str, parts: SplitResult) -> _Route:
+        """The route to *origin*, read from the environment on first use.
+
+        - Proxy: ``urllib.request.getproxies_environment()`` for the scheme
+          (or ``all``), unless ``proxy_bypass_environment`` matches the host.
+          The proxy is reached over plain TCP. Plain HTTP is sent to it with
+          an absolute-form target; HTTPS is tunnelled with ``CONNECT``.
+        - CA file: ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``; without one,
+          ``ssl.create_default_context()`` trusts the system store.
+        - Credentials: the netrc file named by ``NETRC``, else ``~/.netrc``,
+          sent as Basic auth.
+
+        A change to the environment during the life of the client is not
+        seen.
+        """
+        with self._lock:
+            route = self._routes.get(origin)
+            if route is None:
+                route = self._routes[origin] = _read_route(parts)
+            return route
+
+    def close(self) -> None:
+        """Close the idle connections, so that the peers' handler threads
+        see EOF. A later request opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+
+def _read_route(parts: SplitResult) -> _Route:
+    import urllib.request
+
+    proxies = urllib.request.getproxies_environment()
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    if proxy and urllib.request.proxy_bypass_environment(parts.netloc, proxies):
+        proxy = None
+    proxy_headers = {}
+    if proxy:
+        proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        host, port = proxy_parts.hostname, proxy_parts.port or 80
+        if proxy_parts.username is not None:
+            proxy_headers["Proxy-Authorization"] = _basic_auth(
+                proxy_parts.username, proxy_parts.password or "")
+    else:
+        host, port = parts.netloc, None  # http.client reads the port from the netloc
+    headers = {}
+    credentials = _netrc_credentials(parts.hostname or "")
+    if credentials is not None:
+        headers["Authorization"] = _basic_auth(*credentials)
+    https = parts.scheme == "https"
+    if https:
+        import ssl
+
+        context = ssl.create_default_context(
+            cafile=os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE"))
+    else:
+        headers.update(proxy_headers)  # a plain-HTTP proxy reads them from each request
+
+    def connection() -> HTTPConnection:
+        if https:
+            conn = HTTPSConnection(host, port, context=context)
+            if proxy:
+                conn.set_tunnel(parts.netloc, headers=proxy_headers)
+        else:
+            conn = HTTPConnection(host, port)
+        conn._create_connection = _connect_tcp
+        return conn
+
+    return _Route(connection, bool(proxy) and not https, headers)
+
+
+def _netrc_credentials(host: str) -> tuple[str, str] | None:
+    """(login, password) for *host* from the netrc file named by ``NETRC``,
+    else ``~/.netrc``; None when there is none or it cannot be read."""
+    import netrc
+
+    path = os.environ.get("NETRC") or os.path.expanduser("~/.netrc")
+    try:
+        entry = netrc.netrc(path).authenticators(host)
+    except (OSError, netrc.NetrcParseError):
+        return None
+    if not entry:
+        return None
+    login, account, password = entry
+    return (login or account or ""), (password or "")
+
+
+def _basic_auth(user: str, password: str) -> str:
+    import base64
+
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
 
 
 class WireHost(Protocol):
@@ -62,9 +251,7 @@ class Network:
 
     def __init__(self):
         self._hosts: dict[str, WireHost] = {}
-        self._lock = threading.Lock()
-        self._session = None
-        self._origins: dict[str, dict] = {}
+        self._client = HttpClient()
 
     def register(self, name: str, host: WireHost) -> None:
         self._hosts[name] = host
@@ -92,66 +279,25 @@ class Network:
         return status, text
 
     def _request_http(self, method, url, parts, body, sender_id) -> tuple[int, str]:
-        import requests
-
-        session, settings = self._http_state(f"{parts.scheme}://{parts.netloc}")
         headers = {"Content-Type": "application/json"}
         if sender_id:
             headers[SENDER_HEADER] = sender_id
+        data = body.encode("utf-8")
         attempt = 0
         while True:
             attempt += 1
             try:
-                resp = session.request(method, url, data=body.encode("utf-8"), headers=headers,
-                                       timeout=TIMEOUT_S, **settings)
-                return resp.status_code, resp.text
-            except requests.RequestException as exc:
-                if attempt >= ATTEMPTS or not connect_failed(exc):
+                return self._client.send(method, parts, data, headers, TIMEOUT_S)
+            except ConnectError as exc:
+                if attempt >= ATTEMPTS:
                     raise TransportError(
                         f"request to {url} failed after {attempt} attempt(s): {exc}") from exc
             time.sleep(BACKOFF_S)
 
-    def _http_state(self, origin: str):
-        """The session, made on first use, and the proxies, CA bundle and
-        netrc credentials that the environment gives *origin*.
-
-        The session is shared by every thread that uses this Network, the
-        HostServer handler threads included: its urllib3 connection pool is
-        thread-safe, and its cookie jar accepts no cookies, so no request
-        carries a cookie from an earlier answer. The environment is read
-        once per origin (``scheme://host:port``), with the rules requests
-        applies, and passed on every request with ``trust_env`` off, so that
-        no request walks ``os.environ``; a change to the environment during
-        the life of a Network is not seen.
-        """
-        with self._lock:
-            if self._session is None:
-                from http.cookiejar import DefaultCookiePolicy
-
-                import requests
-
-                self._session = requests.Session()
-                self._session.trust_env = False
-                self._session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=()))
-            settings = self._origins.get(origin)
-            if settings is None:
-                from requests.utils import get_environ_proxies, get_netrc_auth
-
-                settings = self._origins[origin] = {
-                    "proxies": get_environ_proxies(origin),
-                    "verify": (os.environ.get("REQUESTS_CA_BUNDLE")
-                               or os.environ.get("CURL_CA_BUNDLE") or True),
-                    "auth": get_netrc_auth(origin),
-                }
-            return self._session, settings
-
     def close(self) -> None:
         """Close the kept-alive connections, so that the peers' handler
         threads see EOF. A later request opens new ones."""
-        with self._lock:
-            session, self._session = self._session, None
-        if session is not None:
-            session.close()
+        self._client.close()
 
     # -- conveniences ---------------------------------------------------
 

@@ -1,20 +1,24 @@
 """Endpoint conformance over real sockets."""
 
+import base64
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
-import urllib3.connection
 
 from agentmesh import catalog, serve, transport
 from agentmesh.documents import compute_hash
 from agentmesh.envelope import parse_wellknown
 from agentmesh.gateway import CostLedger
-from agentmesh.registry import RegistryStore
+from agentmesh.registry import RegistryClient, RegistryStore
 from agentmesh.runtime import BOOTSTRAP_HASH, Agent, AgentConfig, ToolDescriptor
 from agentmesh.scripted import ScriptedBackend
 from agentmesh.serve import HostServer
@@ -106,12 +110,33 @@ class TestRegistryEndpoint:
         server, _ = registry_server
         assert requests.post(server.url + "/share", data=b"", timeout=10).status_code == 200
 
+    def test_non_ascii_document_round_trips(self, registry_server):
+        """A /pd answer is UTF-8 text: the digest checks out on the
+        transport's client, and an outside client decodes the same text."""
+        server, _ = registry_server
+        text = catalog.WEATHER_PD_TEXT.replace("forecast", "forécast", 1)
+        assert text != catalog.WEATHER_PD_TEXT
+        network = Network()
+        try:
+            client = RegistryClient(network, server.url)
+            digest = client.submit(text)
+            assert digest == compute_hash(text)
+            assert client.get(digest).raw_text == text
+        finally:
+            network.close()
+        fetched = requests.get(f"{server.url}/pd/{digest}", timeout=10)
+        assert fetched.headers["Content-Type"] == "text/plain; charset=utf-8"
+        assert fetched.text == text
+
     def test_network_fetch_text_verifies(self, registry_server):
         server, registry = registry_server
         registry.submit(WEATHER_TEXT)
         network = Network()
         from agentmesh.documents import verify_document
-        text = network.fetch_text(f"{server.url}/pd/{WEATHER_HASH}")
+        try:
+            text = network.fetch_text(f"{server.url}/pd/{WEATHER_HASH}")
+        finally:
+            network.close()
         assert verify_document(text, WEATHER_HASH).raw_text == WEATHER_TEXT
 
 
@@ -156,15 +181,15 @@ def _closed_port() -> int:
 
 @pytest.fixture
 def connects(monkeypatch):
-    """Counts the TCP connections urllib3 opens."""
+    """Counts the TCP connects the transport's client makes, by port."""
     opened = []
-    connect = urllib3.connection.HTTPConnection.connect
+    connect = transport._connect_tcp
 
-    def counted(self):
-        opened.append(self.port)
-        return connect(self)
+    def counted(address, *args):
+        opened.append(address[1])
+        return connect(address, *args)
 
-    monkeypatch.setattr(urllib3.connection.HTTPConnection, "connect", counted)
+    monkeypatch.setattr(transport, "_connect_tcp", counted)
     return opened
 
 
@@ -281,30 +306,250 @@ class TestNetworkOverHttp:
         assert sent == [None, None]
 
 
+class _Echo:
+    """A wire host that answers each request with its body, and keeps the
+    bodies it handled."""
+
+    def __init__(self):
+        self.bodies = []
+
+    def handle_request(self, method, path, query, body, sender_id):
+        self.bodies.append(body)
+        return 200, "text/plain", body
+
+
+def _http_server(handler: type[BaseHTTPRequestHandler]) -> ThreadingHTTPServer:
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True).start()
+    return httpd
+
+
+def _stop(httpd: ThreadingHTTPServer) -> None:
+    httpd.shutdown()
+    httpd.server_close()
+
+
+def _handler_threads(existing):
+    return [t for t in threading.enumerate()
+            if t not in existing and "process_request_thread" in t.name]
+
+
+def _wait_for(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+class TestPool:
+    """The client's pool of kept-alive connections, on real servers."""
+
+    def test_connection_closed_by_the_server_is_found_before_the_send(
+            self, monkeypatch, connects):
+        monkeypatch.setattr(serve, "IDLE_TIMEOUT_S", 0.2)
+        existing = set(threading.enumerate())
+        host = _Echo()
+        server = HostServer(host)
+        server.start_background()
+        network = Network()
+        try:
+            assert network.post_text(server.url + "/", "one") == "one"
+            # The server closes the pooled connection after its idle timeout.
+            assert _wait_for(lambda: not _handler_threads(existing))
+            assert network.post_text(server.url + "/", "two") == "two"
+        finally:
+            network.close()
+            server.shutdown()
+        assert host.bodies == ["one", "two"]
+        assert connects == [server.port, server.port]
+
+    def test_post_is_not_resent_when_the_host_drops_it(self, connects):
+        received = []
+
+        class DropsAfterReading(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                received.append(self.rfile.read(int(self.headers["Content-Length"])))
+                self.close_connection = True  # and no answer
+
+            def log_message(self, fmt, *args):
+                pass
+
+        httpd = _http_server(DropsAfterReading)
+        network = Network()
+        try:
+            with pytest.raises(TransportError):
+                network.post_text(f"http://127.0.0.1:{httpd.server_address[1]}/pd", "text")
+        finally:
+            network.close()
+            _stop(httpd)
+        assert received == [b"text"]
+        assert connects == [httpd.server_address[1]]
+
+    def test_threads_share_one_pool(self, connects):
+        existing = set(threading.enumerate())
+        host = _Echo()
+        server = HostServer(host)
+        server.start_background()
+        network = Network()
+        wrong = []
+
+        def client(n):
+            for i in range(50):
+                body = f"{n}-{i}"
+                if network.post_text(server.url + "/", body) != body:
+                    wrong.append(body)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            network.close()
+        try:
+            assert wrong == []
+            assert sorted(host.bodies) == sorted(f"{n}-{i}" for n in range(8) for i in range(50))
+            assert 1 <= len(connects) <= 8
+            # close() left no idle connection open: every handler saw EOF.
+            assert _wait_for(lambda: not _handler_threads(existing))
+        finally:
+            server.shutdown()
+
+    def test_https_origin_is_tunnelled_through_the_proxy(self, monkeypatch):
+        heads = []
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def fake_proxy():
+            while True:
+                try:
+                    sock, _ = listener.accept()
+                except OSError:
+                    return
+                with sock:
+                    head = b""
+                    while b"\r\n\r\n" not in head and (chunk := sock.recv(4096)):
+                        head += chunk
+                    heads.append(head.decode("latin-1"))
+                    sock.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
+
+        proxy = threading.Thread(target=fake_proxy, daemon=True)
+        proxy.start()
+        for name in ("NO_PROXY", "no_proxy", "https_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://user:pw@127.0.0.1:{listener.getsockname()[1]}")
+        network = Network()
+        try:
+            with pytest.raises(TransportError, match="502"):
+                network.fetch_text("https://peer.example:8443/.wellknown")
+        finally:
+            network.close()
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+            listener.close()
+            proxy.join(timeout=5)
+        # One CONNECT, not retried: the TCP connect to the proxy succeeded.
+        assert len(heads) == 1
+        assert heads[0].startswith("CONNECT peer.example:8443 HTTP/1.0\r\n")
+        assert "Proxy-Authorization: Basic dXNlcjpwdw==\r\n" in heads[0]
+
+    def test_answer_that_is_not_utf8_raises(self):
+        class AnswersLatin1(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Type", "text/plain; charset=iso-8859-1")
+                self.send_header("Content-Length", "4")
+                self.end_headers()
+                self.wfile.write("café".encode("latin-1"))
+
+            def log_message(self, fmt, *args):
+                pass
+
+        httpd = _http_server(AnswersLatin1)
+        network = Network()
+        try:
+            with pytest.raises(TransportError, match="not UTF-8"):
+                network.fetch_text(f"http://127.0.0.1:{httpd.server_address[1]}/")
+        finally:
+            network.close()
+            _stop(httpd)
+
+    def test_netrc_credentials_are_sent(self, monkeypatch, tmp_path):
+        seen = []
+
+        class Records(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                seen.append(self.headers.get("Authorization"))
+                self.send_response(200)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, fmt, *args):
+                pass
+
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password s3cret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        httpd = _http_server(Records)
+        network = Network()
+        try:
+            assert network.request("GET", f"http://127.0.0.1:{httpd.server_address[1]}/") == (200, "")
+        finally:
+            network.close()
+            _stop(httpd)
+        assert seen == ["Basic " + base64.b64encode(b"alice:s3cret").decode("ascii")]
+
+
+_STDLIB_ONLY = """
+import sys
+from agentmesh.gateway import LiveChatBackend, Message
+from agentmesh.simulator import ScenarioConfig, run_scenario
+from test_live_backend import _StubChatServer
+
+result = run_scenario(ScenarioConfig(name="http", seed=3, n_users=2, total_queries=8,
+                                     transport="http"))
+assert [r.status for r in result.records] == ["success"] * 8
+stub = _StubChatServer(usage={"prompt_tokens": 1, "completion_tokens": 1})
+try:
+    assert LiveChatBackend(stub.url, "k", "m").complete([Message("user", "hi")])[0] == "stub reply"
+finally:
+    stub.close()
+print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+"""
+
+
+def test_runtime_imports_neither_requests_nor_urllib3():
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests)]
+    done = subprocess.run([sys.executable, "-c", _STDLIB_ONLY], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 class TestIdleConnections:
     def test_idle_connection_is_closed_and_its_thread_freed(self, monkeypatch):
         monkeypatch.setattr(serve, "IDLE_TIMEOUT_S", 0.2)
         existing = set(threading.enumerate())
-
-        def handlers():
-            return [t for t in threading.enumerate()
-                    if t not in existing and "process_request_thread" in t.name]
-
-        def wait_for(condition):
-            deadline = time.monotonic() + 5
-            while not condition() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            return condition()
-
         server = HostServer(_Fixed("fresh"))
         server.start_background()
         network = Network()
         try:
             with socket.create_connection(("127.0.0.1", server.port), timeout=5) as idle:
-                assert wait_for(lambda: len(handlers()) == 1)
+                assert _wait_for(lambda: len(_handler_threads(existing)) == 1)
                 # The server closes its end: EOF, well before the 5 s timeout.
                 assert idle.recv(1) == b""
-                assert wait_for(lambda: not handlers())
+                assert _wait_for(lambda: not _handler_threads(existing))
             assert network.request("GET", server.url + "/") == (200, "fresh")
         finally:
             network.close()
