@@ -9,9 +9,8 @@ deterministically with scripted backends.
 
 from .documents import (ProtocolDocument, ProtocolMetadata, ProtocolReference,
                         compute_hash, parse_document, verify_document)
-from .envelope import (RequestEnvelope, ResponseEnvelope, WellknownMap,
-                       decode_request, decode_response, encode_request,
-                       encode_response)
+from .envelope import (RequestEnvelope, ResponseEnvelope, decode_request,
+                       decode_response, encode_request, encode_response)
 from .gateway import (Activity, CompletionBackend, CostLedger, Message,
                       TokenUsage, count_tokens, summarize)
 from .runtime import (Agent, AgentConfig, EscalationThresholds, Mode,
@@ -23,8 +22,8 @@ __all__ = [
     "Activity", "Agent", "AgentConfig", "CompletionBackend", "CostLedger",
     "EscalationThresholds", "Message", "Mode", "ProtocolDocument",
     "ProtocolMetadata", "ProtocolReference", "RequestEnvelope",
-    "ResponseEnvelope", "TokenUsage", "ToolDescriptor", "WellknownMap",
-    "compute_hash", "count_tokens", "decide_mode", "decode_request",
-    "decode_response", "encode_request", "encode_response", "parse_document",
-    "summarize", "verify_document", "__version__",
+    "ResponseEnvelope", "TokenUsage", "ToolDescriptor", "compute_hash",
+    "count_tokens", "decide_mode", "decode_request", "decode_response",
+    "encode_request", "encode_response", "parse_document", "summarize",
+    "verify_document", "__version__",
 ]

@@ -14,6 +14,10 @@ directly, quoting strings with the function ``json.dumps(..., ensure_ascii=
 False)`` uses, so it equals compact ``json.dumps`` of the fields; they refuse
 a body or source that is not a string, which every decoder would reject.
 Decoders accept any key order but reject unknown keys to surface drift early.
+
+The ``/.wellknown`` payload is a plain JSON object that maps each supported
+protocol hash to a non-empty list of sources, written with sorted keys; in
+code it is a plain ``dict`` from end to end.
 """
 
 from __future__ import annotations
@@ -159,25 +163,9 @@ def decode_response(text: str) -> ResponseEnvelope:
 
 # ── wellknown discovery payload ──────────────────────────────────────
 
-@dataclass(frozen=True)
-class WellknownMap:
-    """Supported protocol hashes mapped to non-empty source lists."""
-
-    entries: tuple[tuple[str, tuple[str, ...]], ...] = ()
-
-    @classmethod
-    def from_dict(cls, mapping: dict[str, list[str]]) -> "WellknownMap":
-        return cls(entries=tuple(sorted(
-            (digest, tuple(sources)) for digest, sources in mapping.items()
-        )))
-
-    def __contains__(self, digest: str) -> bool:
-        return any(known == digest for known, _ in self.entries)
-
-
-def build_wellknown(wk: WellknownMap) -> str:
+def build_wellknown(wellknown: dict[str, list[str]]) -> str:
     payload = {}
-    for digest, sources in sorted(wk.entries):
+    for digest, sources in sorted(wellknown.items()):
         if not is_valid_hash(digest):
             raise EncodeError(f"wellknown key is not a 40-hex digest: {digest!r}")
         if not sources:
@@ -186,7 +174,7 @@ def build_wellknown(wk: WellknownMap) -> str:
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
 
 
-def parse_wellknown(text: str) -> WellknownMap:
+def parse_wellknown(text: str) -> dict[str, tuple[str, ...]]:
     try:
         raw = json.loads(text)
     except ValueError as exc:
@@ -194,12 +182,12 @@ def parse_wellknown(text: str) -> WellknownMap:
     if not isinstance(raw, dict):
         raise DecodeError("wellknown payload must be a JSON object")
 
-    entries = {}
+    wellknown = {}
     for digest, sources in raw.items():
         if not is_valid_hash(digest):
             raise DecodeError(f"wellknown key is not a 40-hex digest: {digest!r}")
         if (not isinstance(sources, list) or not sources
                 or not all(isinstance(s, str) for s in sources)):
             raise DecodeError(f"wellknown entry {digest} must map to a non-empty string array")
-        entries[digest.lower()] = sources
-    return WellknownMap.from_dict(entries)
+        wellknown[digest.lower()] = tuple(sources)
+    return wellknown

@@ -27,11 +27,12 @@ import threading
 from urllib.parse import quote
 
 from .documents import (DocumentError, ProtocolDocument, is_valid_hash,
-                        load_document, parse_document, save_document,
-                        verify_document)
+                        load_document, parse_document, save_document)
 from .transport import PLAIN_TEXT, Network, StatusError, TransportError
 
 logger = logging.getLogger(__name__)
+
+_ROW_KEYS = ("hash", "name", "description")
 
 
 class RegistryIntegrityError(Exception):
@@ -112,7 +113,7 @@ class RegistryStore:
             client = RegistryClient(self.network, peer)
             try:
                 held = {digest for digest, _, _ in client.query()}
-            except (TransportError, ValueError, LookupError, TypeError) as exc:
+            except (TransportError, ValueError) as exc:
                 logger.warning("registry %s: no listing from peer %s (%s)",
                                self.registry_id, peer, exc)
                 continue
@@ -171,13 +172,16 @@ class RegistryClient:
     def submit(self, text: str) -> str:
         return self.network.post_text(f"{self.base_url}/pd", text)
 
-    def get(self, digest: str) -> ProtocolDocument:
-        text = self.network.fetch_text(self.pd_url(digest))
-        return verify_document(text, digest)
-
     def query(self, keyword: str = "") -> list[tuple[str, str, str]]:
+        """The listing as (hash, name, description) rows. Raises ValueError
+        for an answer that is not a JSON array of objects with string
+        ``hash``, ``name`` and ``description``."""
         url = f"{self.base_url}/pd"
         if keyword:
             url += f"?query={quote(keyword, safe='')}"
         rows = json.loads(self.network.fetch_text(url))
+        if not isinstance(rows, list) or not all(
+                isinstance(row, dict) and all(isinstance(row.get(key), str) for key in _ROW_KEYS)
+                for row in rows):
+            raise ValueError(f"malformed listing from {url}")
         return [(row["hash"], row["name"], row["description"]) for row in rows]

@@ -25,7 +25,12 @@ An agent builds its tool table from its config. An external tool sends the
 task to a peer through the same escalation policy and returns the peer's
 fields, parsing a natural-language reply with one more model call; every
 other tool is the catalog's mock implementation. The catalog's classifier
-decides which protocols the agent's tools can serve.
+decides which protocols the agent's tools serve (``_serves``); an agent with
+tools advertises and accepts those and the ones it has receiver routines for.
+
+A document is fetched one way (``resolve_protocol``): the local store, then
+the agent's own registry, then the given sources, each URL once. A malformed
+registry listing counts as no listing.
 """
 
 from __future__ import annotations
@@ -43,16 +48,15 @@ from .documents import (DocumentError, ProtocolDocument, compute_hash,
                         save_document, verify_document)
 from .envelope import (STATUS_FAILURE, STATUS_REJECTED, STATUS_SUCCESS,
                        DecodeError, RequestEnvelope, ResponseEnvelope,
-                       WellknownMap, build_wellknown, decode_request,
-                       decode_response, encode_request, encode_response,
-                       parse_wellknown)
+                       build_wellknown, decode_request, decode_response,
+                       encode_request, encode_response, parse_wellknown)
 from .gateway import Activity, BackendError, CompletionBackend, CostLedger, Message, TokenUsage
 from .registry import RegistryClient
 from .routines import (RECEIVER, SENDER, Routine, RoutineError,
                        RoutineSpecError, as_decoded_json, execute_routine,
                        load_routine, routine_from_spec, run_routine,
                        save_routine)
-from .transport import PLAIN_TEXT, Network, NotFound, TransportError
+from .transport import PLAIN_TEXT, Network, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -336,8 +340,10 @@ class Agent:
                 return parsed
         return run
 
-    def _supports(self, task_type: str) -> bool:
-        return any(t.task_type == task_type for t in self.config.tools)
+    def _serves(self, doc: ProtocolDocument) -> bool:
+        """True iff one of the agent's tools has the task type of *doc*."""
+        task_type = catalog.classify(f"{doc.name} {doc.description}")
+        return any(tool.task_type == task_type for tool in self.config.tools)
 
     # ── wire host ──────────────────────────────────────────────────────
 
@@ -352,19 +358,19 @@ class Agent:
             return 200, "application/json", build_wellknown(self.wellknown())
         return 404, PLAIN_TEXT, "not found"
 
-    def wellknown(self) -> WellknownMap:
-        entries: dict[str, list[str]] = {BOOTSTRAP_HASH: [BOOTSTRAP_SOURCE]}
+    def wellknown(self) -> dict[str, list[str]]:
+        """The bootstrap protocol and, with a registry to name as their source,
+        each stored document that has a receiver routine or that it ``_serves``."""
+        wellknown = {BOOTSTRAP_HASH: [BOOTSTRAP_SOURCE]}
+        if self.registry is None:
+            return wellknown
         with self._lock:
             docs = dict(self._documents)
             routine_keys = set(self._routines)
         for digest, doc in docs.items():
-            served = (digest, RECEIVER) in routine_keys
-            if not served and self.config.tools:
-                inferred = catalog.classify(f"{doc.name} {doc.description}")
-                served = inferred is not None and self._supports(inferred)
-            if served and self.registry:
-                entries[digest] = [self.registry.pd_url(digest)]
-        return WellknownMap.from_dict(entries)
+            if (digest, RECEIVER) in routine_keys or self._serves(doc):
+                wellknown[digest] = [self.registry.pd_url(digest)]
+        return wellknown
 
     # ── inbound dispatch ───────────────────────────────────────────────
 
@@ -394,18 +400,13 @@ class Agent:
                 logger.info("%s: routine for %.8s failed (%s); falling back to model",
                             self.agent_id, digest, exc)
 
-        doc = self.get_document(digest)
-        if doc is None:
-            try:
-                doc = self.resolve_protocol(digest, env.protocol_sources)
-            except (ResolutionError, DocumentError, TransportError) as exc:
-                logger.info("%s: cannot resolve %.8s (%s); rejecting", self.agent_id, digest, exc)
-                return ResponseEnvelope(STATUS_REJECTED)
-
-        if self.config.tools:
-            inferred = catalog.classify(f"{doc.name} {doc.description}")
-            if inferred is None or not self._supports(inferred):
-                return ResponseEnvelope(STATUS_REJECTED)
+        try:
+            doc = self.resolve_protocol(digest, env.protocol_sources)
+        except (ResolutionError, DocumentError) as exc:
+            logger.info("%s: cannot resolve %.8s (%s); rejecting", self.agent_id, digest, exc)
+            return ResponseEnvelope(STATUS_REJECTED)
+        if self.config.tools and not self._serves(doc):
+            return ResponseEnvelope(STATUS_REJECTED)
 
         return self._model_response(env.body, doc, sender_id)
 
@@ -623,17 +624,15 @@ class Agent:
         url = self.config.known_peers.get(peer_id)
         if url:
             try:
-                wk = parse_wellknown(self.network.fetch_wellknown(url))
-                for digest, sources in wk.entries:
+                wellknown = parse_wellknown(self.network.fetch_wellknown(url))
+                for digest, sources in wellknown.items():
                     if digest == BOOTSTRAP_HASH:
                         continue
-                    doc = self.get_document(digest)
-                    if doc is None:
-                        try:
-                            doc = self.resolve_protocol(digest, sources)
-                        except (ResolutionError, DocumentError, TransportError):
-                            continue
-                    found[digest] = (doc.name, doc.description, tuple(sources))
+                    try:
+                        doc = self.resolve_protocol(digest, sources)
+                    except (ResolutionError, DocumentError):
+                        continue
+                    found[digest] = (doc.name, doc.description, sources)
             except (TransportError, DecodeError) as exc:
                 logger.info("%s: wellknown fetch from %s failed: %s", self.agent_id, peer_id, exc)
         if self.registry is not None:
@@ -642,7 +641,7 @@ class Agent:
                     if digest != BOOTSTRAP_HASH:
                         found.setdefault(digest, (name, description,
                                                   (self.registry.pd_url(digest),)))
-            except TransportError as exc:
+            except (TransportError, ValueError) as exc:
                 logger.info("%s: registry query failed: %s", self.agent_id, exc)
         return [(digest, *info) for digest, info in sorted(found.items())]
 
@@ -670,30 +669,20 @@ class Agent:
     # ── protocol resolution ────────────────────────────────────────────
 
     def resolve_protocol(self, digest: str, sources) -> ProtocolDocument:
-        """Fetch-and-verify a document: local store, then the reference
-        registry, then the given sources in order. Tampered bytes abort the
-        resolution outright."""
+        """The agent's one way to get a document: the local store, then each
+        URL once, in order: the agent's own registry, then the given sources.
+        Tampered bytes abort the resolution outright."""
         cached = self.get_document(digest)
         if cached is not None:
             return cached
-
+        own = [self.registry.pd_url(digest)] if self.registry is not None else []
         attempts = []
-        if self.registry is not None:
-            try:
-                doc = self.registry.get(digest)
-                self._store_document(doc)
-                return doc
-            except NotFound:
-                attempts.append("registry: not found")
-            except TransportError as exc:
-                attempts.append(f"registry: {exc}")
-
-        for url in sources:
+        for url in dict.fromkeys([*own, *sources]):
             if url.startswith(("builtin:", "urn:")):
                 continue
             try:
                 text = self.network.fetch_text(url)
-            except (NotFound, TransportError) as exc:
+            except TransportError as exc:
                 attempts.append(f"{url}: {exc}")
                 continue
             doc = verify_document(text, digest)   # TamperError propagates
@@ -798,7 +787,7 @@ class Agent:
         sources = next(s for d, _, _, s in candidates if d == digest)
         try:
             doc = self.resolve_protocol(digest, sources)
-        except (ResolutionError, DocumentError, TransportError) as exc:
+        except (ResolutionError, DocumentError) as exc:
             logger.info("%s: adopting %.8s failed: %s", self.agent_id, digest, exc)
             return False
         self.state.adopt(key, digest, sources)

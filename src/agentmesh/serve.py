@@ -8,7 +8,7 @@ registry's /pd and /share endpoints.
 Connections are kept open between requests (HTTP/1.1); one that stays
 silent for ``IDLE_TIMEOUT_S`` is closed, which frees its handler thread. A
 request body larger than ``MAX_BODY_BYTES`` is refused with 413 before it is
-read.
+read. An answer to a client that has already left is dropped without a word.
 """
 
 from __future__ import annotations
@@ -82,8 +82,12 @@ def _make_handler(host: WireHost, quiet: bool):
             self.send_header("Content-Length", str(len(payload)))
             if self.close_connection:
                 self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
+            try:
+                self.end_headers()
+                self.wfile.write(payload)
+            except (BrokenPipeError, ConnectionResetError):
+                # The client left before its answer: the connection is closed.
+                self.close_connection = True
 
         def do_GET(self):
             self._serve("GET")

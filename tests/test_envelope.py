@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from agentmesh.documents import compute_hash
 from agentmesh.envelope import (DecodeError, EncodeError, RequestEnvelope,
-                                ResponseEnvelope, WellknownMap, build_wellknown,
+                                ResponseEnvelope, build_wellknown,
                                 decode_request, decode_response, encode_request,
                                 encode_response, parse_wellknown)
 from agentmesh.catalog import WEATHER_PD_TEXT
@@ -199,13 +199,18 @@ class TestCanonicalText:
 
 class TestWellknown:
     def test_empty_map(self):
-        assert build_wellknown(WellknownMap()) == "{}"
-        assert parse_wellknown("{}") == WellknownMap()
+        assert build_wellknown({}) == "{}"
+        assert parse_wellknown("{}") == {}
 
     def test_round_trip_two_sources(self):
-        wk = WellknownMap.from_dict(
-            {WEATHER_HASH: [f"https://db1/pd/{WEATHER_HASH}", "ipfs://Q"]})
-        assert parse_wellknown(build_wellknown(wk)) == wk
+        sources = (f"https://db1/pd/{WEATHER_HASH}", "ipfs://Q")
+        assert parse_wellknown(build_wellknown({WEATHER_HASH: list(sources)})) == {
+            WEATHER_HASH: sources}
+
+    def test_keys_are_written_sorted(self):
+        low, high = "0" * 40, "f" * 40
+        assert build_wellknown({high: ["b"], low: ["a"]}) == (
+            '{"%s":["a"],"%s":["b"]}' % (low, high))
 
     def test_empty_source_list_rejected_on_parse(self):
         with pytest.raises(DecodeError):
@@ -213,13 +218,8 @@ class TestWellknown:
 
     def test_empty_source_list_rejected_on_build(self):
         with pytest.raises(EncodeError):
-            build_wellknown(WellknownMap(entries=((WEATHER_HASH, ()),)))
+            build_wellknown({WEATHER_HASH: []})
 
     def test_bad_key_rejected(self):
         with pytest.raises(DecodeError):
             parse_wellknown('{"nothex":["s"]}')
-
-    def test_contains(self):
-        wk = WellknownMap.from_dict({WEATHER_HASH: ["a"]})
-        assert WEATHER_HASH in wk
-        assert "0" * 40 not in wk

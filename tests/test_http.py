@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ import pytest
 import requests
 
 from agentmesh import catalog, serve, transport
-from agentmesh.documents import compute_hash
+from agentmesh.documents import compute_hash, verify_document
 from agentmesh.envelope import parse_wellknown
 from agentmesh.gateway import CostLedger
 from agentmesh.registry import RegistryClient, RegistryStore
@@ -121,7 +122,8 @@ class TestRegistryEndpoint:
             client = RegistryClient(network, server.url)
             digest = client.submit(text)
             assert digest == compute_hash(text)
-            assert client.get(digest).raw_text == text
+            fetched = network.fetch_text(client.pd_url(digest))
+            assert verify_document(fetched, digest).raw_text == text
         finally:
             network.close()
         fetched = requests.get(f"{server.url}/pd/{digest}", timeout=10)
@@ -132,7 +134,6 @@ class TestRegistryEndpoint:
         server, registry = registry_server
         registry.submit(WEATHER_TEXT)
         network = Network()
-        from agentmesh.documents import verify_document
         try:
             text = network.fetch_text(f"{server.url}/pd/{WEATHER_HASH}")
         finally:
@@ -535,6 +536,32 @@ def test_runtime_imports_neither_requests_nor_urllib3():
                           timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+class TestClientGone:
+    def test_answer_to_a_client_that_left_is_dropped_quietly(self, capfd):
+        existing = set(threading.enumerate())
+        release = threading.Event()
+        host = _Fixed("late", release)
+        server = HostServer(host)
+        server.start_background()
+        network = Network()
+        try:
+            client = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+            client.sendall(b"POST /pd HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                           b"Content-Length: 4\r\n\r\ntext")
+            assert _wait_for(lambda: host.handled == 1)
+            # Linger 0: the close resets the connection before the answer.
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            client.close()
+            release.set()
+            assert _wait_for(lambda: not _handler_threads(existing))
+            assert network.request("GET", server.url + "/") == (200, "late")
+        finally:
+            release.set()
+            network.close()
+            server.shutdown()
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestIdleConnections:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from agentmesh import catalog
-from agentmesh.documents import compute_hash
+from agentmesh.documents import compute_hash, verify_document
 from agentmesh.registry import RegistryClient, RegistryIntegrityError, RegistryStore
 from agentmesh.serve import HostServer
 from agentmesh.transport import Network, NotFound
@@ -263,13 +263,14 @@ class TestWireSurface:
         network.register("db1", store)
         client = RegistryClient(network, "mem://db1")
         assert client.submit(WEATHER_TEXT) == WEATHER_HASH
-        assert client.get(WEATHER_HASH).raw_text == WEATHER_TEXT
+        text = network.fetch_text(client.pd_url(WEATHER_HASH))
+        assert verify_document(text, WEATHER_HASH).raw_text == WEATHER_TEXT
 
     def test_get_unknown_404(self, network):
         network.register("db1", RegistryStore("db1", network))
         client = RegistryClient(network, "mem://db1")
         with pytest.raises(NotFound):
-            client.get("0" * 40)
+            network.fetch_text(client.pd_url("0" * 40))
 
     def test_query_endpoint(self, network):
         store = RegistryStore("db1", network)
@@ -278,6 +279,14 @@ class TestWireSurface:
         client = RegistryClient(network, "mem://db1")
         rows = client.query("weather")
         assert rows[0][0] == WEATHER_HASH
+
+    @pytest.mark.parametrize("listing", [
+        "not json", "{}", "[1]", '[{"name": "x"}]',
+        '[{"hash": 1, "name": "x", "description": "y"}]'])
+    def test_malformed_listing_is_a_value_error(self, network, listing):
+        network.register("db1", _Answers(200, listing))
+        with pytest.raises(ValueError):
+            RegistryClient(network, "mem://db1").query()
 
     def test_share_endpoint(self, network):
         registries = chain(network)

@@ -217,6 +217,34 @@ class TestResolveProtocol:
         doc = alice.resolve_protocol(WEATHER_HASH, ("mem://gone/pd/x",))
         assert doc.hash == WEATHER_HASH
 
+    def test_registry_url_among_sources_is_fetched_once(self, world):
+        alice = world.add_agent("alice")   # registry_url=mem://db1, which lacks the document
+        db1 = _Counting(world.registry)
+        world.network.register("db1", db1)
+        db2 = world.registry.__class__("db2", world.network)
+        db2.submit(WEATHER_TEXT)
+        world.network.register("db2", db2)
+        doc = alice.resolve_protocol(WEATHER_HASH, (
+            f"mem://db1/pd/{WEATHER_HASH}", f"mem://db2/pd/{WEATHER_HASH}"))
+        assert doc.hash == WEATHER_HASH
+        assert db1.paths == [f"/pd/{WEATHER_HASH}"]
+
+
+class _Counting:
+    """A wire host in front of *host* that keeps the paths of its requests;
+    it answers ``GET /pd`` with *listing* when one is given."""
+
+    def __init__(self, host, listing: str | None = None):
+        self.host = host
+        self.listing = listing
+        self.paths = []
+
+    def handle_request(self, method, path, query, body, sender_id):
+        self.paths.append(path)
+        if self.listing is not None and (method, path) == ("GET", "/pd"):
+            return 200, "application/json", self.listing
+        return self.host.handle_request(method, path, query, body, sender_id)
+
 
 # ── negotiation ──────────────────────────────────────────────────────
 
@@ -270,8 +298,8 @@ class TestNegotiation:
     def test_wellknown_advertises_negotiated_protocol(self, world):
         alice = world.add_agent("alice")
         bob = world.add_weather_server()
-        assert parse_wellknown(world.network.fetch_wellknown("mem://bob")).entries == (
-            (BOOTSTRAP_HASH, ("builtin:conversation",)),)
+        assert parse_wellknown(world.network.fetch_wellknown("mem://bob")) == {
+            BOOTSTRAP_HASH: ("builtin:conversation",)}
         alice.negotiate("bob", "weather", "weather", my_side=SENDER)
         wk = parse_wellknown(world.network.fetch_wellknown("mem://bob"))
         assert WEATHER_HASH in wk
@@ -403,6 +431,17 @@ class TestEscalationTrace:
         desc = catalog.CATALOG["weather"].task_description
         modes = [alice.send_task("bob", "weather", payload, desc)[1] for _ in range(4)]
         assert modes == ["natural_language", "natural_language", "check_existing", "protocol"]
+
+    @pytest.mark.parametrize("listing", ["not json", '[{"name": "x"}]'])
+    def test_malformed_registry_listing_counts_as_no_listing(self, world, listing):
+        world.network.register("db1", _Counting(world.registry, listing))
+        world.add_weather_server()
+        alice = world.add_agent("alice")
+        payload = {"location": "Paris", "date": "2024-10-14"}
+        desc = catalog.CATALOG["weather"].task_description
+        sent = [alice.send_task("bob", "weather", payload, desc) for _ in range(4)]
+        assert [(resp.status, path) for resp, path in sent[2:]] == [
+            ("success", "natural_language")] * 2
 
     def test_failed_negotiation_falls_back_to_nl(self, world):
         world.add_weather_server("bob", backend=StubbornBackend())

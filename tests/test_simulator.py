@@ -3,7 +3,10 @@ determinism, and report emission."""
 
 import csv
 import gc
+import json
+import math
 import os
+import sys
 import threading
 import time
 import warnings
@@ -12,7 +15,9 @@ from dataclasses import replace
 
 import pytest
 
-from agentmesh import simulator
+from agentmesh import catalog, simulator
+from agentmesh.documents import compute_hash
+from agentmesh.envelope import STATUS_REJECTED, STATUS_SUCCESS, RequestEnvelope
 from agentmesh.gateway import Activity
 from agentmesh.simulator import (Scenario, ScenarioConfig, break_even_point,
                                  build_workload, chain_config, emit_report, run_paired,
@@ -310,6 +315,69 @@ class TestHttpTransportMode:
                 Scenario(config)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestServeRule:
+    def test_desk_server_advertises_exactly_what_it_accepts(self):
+        scenario = Scenario(DESK)
+        try:
+            texts = [catalog.pd_text(task) for task in catalog.CATALOG.values()]
+            for registry in scenario.registries:
+                for text in texts:
+                    registry.submit(text)
+            verdicts = set()
+            for agent_id, agent in scenario.agents.items():
+                if not agent.config.tools:
+                    continue
+                for task, text in zip(catalog.CATALOG.values(), texts):
+                    digest = compute_hash(text)
+                    sources = (agent.registry.pd_url(digest),)
+                    agent.resolve_protocol(digest, sources)
+                    advertised = digest in agent.wellknown()
+                    response = agent.dispatch(RequestEnvelope(
+                        digest, sources, json.dumps(task.example_input)))
+                    assert advertised == (response.status != STATUS_REJECTED), (
+                        agent_id, task.name)
+                    verdicts.add(advertised)
+            assert verdicts == {True, False}
+        finally:
+            scenario.close()
+
+
+class TestConcurrentSends:
+    """Eight threads share one scenario's agents, with thread switches forced
+    often enough that queries overlap."""
+
+    @pytest.mark.parametrize("transport", ["inprocess", "http"])
+    def test_every_query_is_answered_and_the_ledger_adds_up(self, transport):
+        config = replace(DESK, total_queries=400, transport=transport)
+        tasks, _ = build_workload(config)
+        scenario = Scenario(config)
+        statuses = []
+
+        def send(share):
+            for task in share:
+                response, _path = scenario.agents[task.user_id].send_task(
+                    task.target_server_id, task.task_type, task.payload,
+                    catalog.CATALOG[task.task_type].task_description)
+                statuses.append(response.status)
+
+        threads = [threading.Thread(target=send, args=(tasks[i::8],)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            scenario.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert Counter(statuses) == {STATUS_SUCCESS: 400}
+        ledger = scenario.ledger
+        assert math.fsum(record.cost for record in ledger.records()) == pytest.approx(
+            ledger.total, rel=0, abs=1e-9)
 
 
 class TestTopology:
