@@ -64,7 +64,7 @@ def _fetch_verified(digest: str, store: str | None, source: str):
             _err(f"cached copy rejected, fetching from the source: {exc}")
     network = Network()
     try:
-        doc = verify_document(network.fetch_text(source), digest)
+        doc = verify_document(network.call("GET", source), digest)
     finally:
         network.close()
     if store:
@@ -216,7 +216,6 @@ def cmd_run_sim(args) -> int:
         _err(f"bad scenario file: {exc}")
         return EXIT_CONFIG
     kind = raw.get("kind", "network")
-    seed = args.seed if args.seed is not None else raw.get("seed", 7)
     if kind in DEMO_PARAMS:
         try:
             check_demo_params(kind, raw)
@@ -243,13 +242,15 @@ def cmd_run_sim(args) -> int:
         return EXIT_OK
 
     if kind == "chain":
-        config = chain_config(orders=raw.get("orders", 9), seed=seed)
+        config = chain_config(**{k: v for k, v in raw.items() if k != "kind"})
     else:
         try:
-            config = ScenarioConfig.from_dict({**raw, "seed": seed})
+            config = ScenarioConfig.from_dict(raw)
         except (TypeError, ValueError) as exc:
             _err(f"bad scenario config: {exc}")
             return EXIT_CONFIG
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     mode = args.mode or config.mode
 
     if mode == "paired":

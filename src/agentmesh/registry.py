@@ -170,7 +170,7 @@ class RegistryClient:
         return f"{self.base_url}/pd/{digest}"
 
     def submit(self, text: str) -> str:
-        return self.network.post_text(f"{self.base_url}/pd", text)
+        return self.network.call("POST", f"{self.base_url}/pd", text)
 
     def query(self, keyword: str = "") -> list[tuple[str, str, str]]:
         """The listing as (hash, name, description) rows. Raises ValueError
@@ -179,7 +179,7 @@ class RegistryClient:
         url = f"{self.base_url}/pd"
         if keyword:
             url += f"?query={quote(keyword, safe='')}"
-        rows = json.loads(self.network.fetch_text(url))
+        rows = json.loads(self.network.call("GET", url))
         if not isinstance(rows, list) or not all(
                 isinstance(row, dict) and all(isinstance(row.get(key), str) for key in _ROW_KEYS)
                 for row in rows):

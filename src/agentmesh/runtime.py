@@ -30,7 +30,8 @@ tools advertises and accepts those and the ones it has receiver routines for.
 
 A document is fetched one way (``resolve_protocol``): the local store, then
 the agent's own registry, then the given sources, each URL once. A malformed
-registry listing counts as no listing.
+registry listing counts as no listing. Every model call goes one way too
+(``_complete``), which charges the ledger for it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .envelope import (STATUS_FAILURE, STATUS_REJECTED, STATUS_SUCCESS,
                        DecodeError, RequestEnvelope, ResponseEnvelope,
                        build_wellknown, decode_request, decode_response,
                        encode_request, encode_response, parse_wellknown)
-from .gateway import Activity, BackendError, CompletionBackend, CostLedger, Message, TokenUsage
+from .gateway import Activity, BackendError, CompletionBackend, CostLedger, Message
 from .registry import RegistryClient
 from .routines import (RECEIVER, SENDER, Routine, RoutineError,
                        RoutineSpecError, as_decoded_json, execute_routine,
@@ -61,6 +62,7 @@ from .transport import PLAIN_TEXT, Network, TransportError
 logger = logging.getLogger(__name__)
 
 BOOTSTRAP_SOURCE = "builtin:conversation"
+WELLKNOWN_PATH = "/.wellknown"
 
 ROUTINE_AFTER_USES = 2    # model-handled uses of a PD before the server writes a routine
 MAX_TOOL_ROUNDS = 5
@@ -98,6 +100,20 @@ class ResolutionError(Exception):
 
 class NegotiationError(Exception):
     """Negotiation ended without a finalized protocol."""
+
+
+def _conversation_fields(body: str | None) -> tuple[str, str, str | None]:
+    """The ``(conversation_id, message, from)`` of a conversation-protocol
+    body. Raises ValueError unless it is a JSON object whose id and message
+    are strings and whose ``from`` is a string or absent."""
+    payload = json.loads(body or "")
+    if not isinstance(payload, dict):
+        raise ValueError("not a JSON object")
+    conv_id, message, from_id = (payload.get(key) for key in ("conversation_id", "message", "from"))
+    if not (isinstance(conv_id, str) and isinstance(message, str)
+            and isinstance(from_id, (str, type(None)))):
+        raise ValueError("conversation_id and message must be strings, from a string or absent")
+    return conv_id, message, from_id
 
 
 class Mode(enum.Enum):
@@ -331,13 +347,10 @@ class Agent:
             resp, _path = self.send_task(desc.peer, task_type, args, description)
             if resp.status != STATUS_SUCCESS:
                 return {"error": f"{desc.name}: {resp.status}: {resp.body or ''}"}
-            try:
-                return json.loads(resp.body)
-            except ValueError:
-                parsed = self.parse_reply(task_type, description, resp.body or "")
-                if parsed is None:
-                    return {"error": f"{desc.name}: unparseable reply"}
-                return parsed
+            parsed = self.parse_reply(task_type, description, resp.body or "")
+            if parsed is None:
+                return {"error": f"{desc.name}: unparseable reply"}
+            return parsed
         return run
 
     def _serves(self, doc: ProtocolDocument) -> bool:
@@ -354,7 +367,7 @@ class Agent:
             except DecodeError as exc:
                 return 400, PLAIN_TEXT, str(exc)
             return 200, "application/json", encode_response(self.dispatch(env, sender_id))
-        if method == "GET" and path == "/.wellknown":
+        if method == "GET" and path == WELLKNOWN_PATH:
             return 200, "application/json", build_wellknown(self.wellknown())
         return 404, PLAIN_TEXT, "not found"
 
@@ -439,8 +452,7 @@ class Agent:
             Message("user", body),
         ]
         for _ in range(MAX_TOOL_ROUNDS):
-            reply, usage = self.backend.complete(conversation)
-            self._charge(usage, Activity.NATURAL_LANGUAGE)
+            reply = self._complete(conversation, Activity.NATURAL_LANGUAGE)
             call = prompts.parse_tool_call(reply)
             if call is None:
                 return reply
@@ -465,12 +477,10 @@ class Agent:
 
     def _handle_conversation(self, env: RequestEnvelope, sender_id: str | None) -> ResponseEnvelope:
         try:
-            payload = json.loads(env.body)
-            conv_id = payload["conversation_id"]
-            message = payload["message"]
-            from_id = payload.get("from") or sender_id or "peer"
-        except (ValueError, KeyError) as exc:
+            conv_id, message, from_id = _conversation_fields(env.body)
+        except ValueError as exc:
             return ResponseEnvelope(STATUS_FAILURE, f"malformed conversation body: {exc}")
+        from_id = from_id or sender_id or "peer"
 
         with self._lock:
             if conv_id in self._conversations:
@@ -501,8 +511,7 @@ class Agent:
             self._close_conversation(conv_id, conv, block)
             return self._conversation_reply(conv_id, "Acknowledged; the protocol is finalized.")
 
-        reply, usage = self.backend.complete(conv["messages"])
-        self._charge(usage, Activity.NEGOTIATION)
+        reply = self._complete(conv["messages"], Activity.NEGOTIATION)
         conv["messages"].append(Message("assistant", reply))
         block = prompts.extract_finalized(reply)
         if block is not None:
@@ -561,10 +570,6 @@ class Agent:
                     doc = self.get_document(adopted[0])
                     if doc is not None:
                         return doc
-            url = self.config.known_peers.get(peer_id)
-            if url is None:
-                raise NegotiationError(f"unknown peer: {peer_id}")
-
             conv_id = self._next_conversation_id()
             conversation = [prompts.negotiation_system(
                 self.agent_id, my_side, task_type, task_description)]
@@ -576,10 +581,9 @@ class Agent:
                     message = pending_opening
                 else:
                     try:
-                        message, usage = self.backend.complete(conversation)
+                        message = self._complete(conversation, Activity.NEGOTIATION)
                     except BackendError as exc:
                         raise NegotiationError(f"backend failure: {exc}") from exc
-                    self._charge(usage, Activity.NEGOTIATION)
                 conversation.append(Message("assistant", message))
 
                 body = json.dumps({"conversation_id": conv_id,
@@ -589,8 +593,8 @@ class Agent:
                 if resp.status != STATUS_SUCCESS:
                     raise NegotiationError(f"peer answered {resp.status}")
                 try:
-                    reply = json.loads(resp.body)["message"]
-                except (ValueError, KeyError) as exc:
+                    _, reply, _ = _conversation_fields(resp.body)
+                except ValueError as exc:
                     raise NegotiationError(f"malformed conversation reply: {exc}") from exc
                 conversation.append(Message("user", reply))
 
@@ -624,7 +628,8 @@ class Agent:
         url = self.config.known_peers.get(peer_id)
         if url:
             try:
-                wellknown = parse_wellknown(self.network.fetch_wellknown(url))
+                wellknown = parse_wellknown(
+                    self.network.call("GET", url.rstrip("/") + WELLKNOWN_PATH))
                 for digest, sources in wellknown.items():
                     if digest == BOOTSTRAP_HASH:
                         continue
@@ -656,8 +661,7 @@ class Agent:
                                         [(d, n, desc) for d, n, desc, _ in candidates]),
         ]
         try:
-            reply, usage = self.backend.complete(conversation)
-            self._charge(usage, Activity.SUITABILITY_CHECK)
+            reply = self._complete(conversation, Activity.SUITABILITY_CHECK)
         except BackendError as exc:
             logger.info("%s: suitability check failed: %s", self.agent_id, exc)
             return None
@@ -681,7 +685,7 @@ class Agent:
             if url.startswith(("builtin:", "urn:")):
                 continue
             try:
-                text = self.network.fetch_text(url)
+                text = self.network.call("GET", url)
             except TransportError as exc:
                 attempts.append(f"{url}: {exc}")
                 continue
@@ -705,8 +709,7 @@ class Agent:
             prompts.synthesis_request(doc.raw_text, doc.hash),
         ]
         try:
-            reply, usage = self.backend.complete(conversation)
-            self._charge(usage, Activity.ROUTINE_IMPLEMENTATION)
+            reply = self._complete(conversation, Activity.ROUTINE_IMPLEMENTATION)
         except BackendError as exc:
             logger.info("%s: synthesis backend failure: %s", self.agent_id, exc)
             return None
@@ -825,9 +828,7 @@ class Agent:
                                    doc.raw_text if doc else None),
             prompts.compose_request(payload),
         ]
-        reply, usage = self.backend.complete(conversation)
-        self._charge(usage, Activity.NATURAL_LANGUAGE)
-        return reply
+        return self._complete(conversation, Activity.NATURAL_LANGUAGE)
 
     def parse_reply(self, task_type: str, task_description: str, reply: str) -> dict | None:
         """Turn a natural-language reply into the structured fields the task
@@ -842,9 +843,7 @@ class Agent:
             Message("user", reply),
         ]
         try:
-            parsed, usage = self.backend.complete(conversation)
-            self._charge(usage, Activity.NATURAL_LANGUAGE)
-            return json.loads(parsed)
+            return json.loads(self._complete(conversation, Activity.NATURAL_LANGUAGE))
         except (BackendError, ValueError) as exc:
             logger.info("%s: could not parse reply (%s)", self.agent_id, exc)
             return None
@@ -854,10 +853,15 @@ class Agent:
         if url is None:
             return ResponseEnvelope(STATUS_FAILURE, f"unknown peer: {peer_id}")
         try:
-            text = self.network.post_envelope(url, encode_request(env), sender_id=self.agent_id)
+            text = self.network.call("POST", url.rstrip("/") + "/", encode_request(env),
+                                     self.agent_id)
             return decode_response(text)
         except (TransportError, DecodeError) as exc:
             return ResponseEnvelope(STATUS_FAILURE, f"transport error: {exc}")
 
-    def _charge(self, usage: TokenUsage, activity: Activity) -> None:
+    def _complete(self, conversation: list[Message], activity: Activity) -> str:
+        """The agent's one model call: ask the backend, then charge the
+        ledger for it. A call that raises charges nothing."""
+        reply, usage = self.backend.complete(conversation)
         self.ledger.charge(self.config.model_id, usage, activity)
+        return reply

@@ -4,6 +4,8 @@ Hosts (agents, registries) implement ``handle_request(method, path, query,
 body, sender_id)`` returning ``(status, content_type, text)``. A Network
 routes client calls either to registered in-process hosts (``mem://name``
 URLs, the deterministic default for simulations) or over real HTTP(S).
+``Network.request`` returns the raw status and text; ``Network.call``
+returns the text of a 200 answer and raises ``StatusError`` on any other.
 
 HTTP(S) goes through ``HttpClient``, a small client on the standard
 library's ``http.client``. It keeps a lock-guarded list of idle connections
@@ -50,10 +52,6 @@ class TransportError(Exception):
 
 class StatusError(TransportError):
     """The peer answered, with a status other than 200."""
-
-
-class NotFound(StatusError):
-    """The peer answered 404."""
 
 
 class ConnectError(TransportError):
@@ -259,8 +257,6 @@ class Network:
     def host(self, name: str) -> WireHost | None:
         return self._hosts.get(name)
 
-    # -- raw request --------------------------------------------------
-
     def request(self, method: str, url: str, body: str = "",
                 sender_id: str | None = None) -> tuple[int, str]:
         parts = urlsplit(url)
@@ -269,6 +265,15 @@ class Network:
         if parts.scheme in ("http", "https"):
             return self._request_http(method, url, parts, body, sender_id)
         raise TransportError(f"unsupported URL scheme: {url!r}")
+
+    def call(self, method: str, url: str, body: str = "",
+             sender_id: str | None = None) -> str:
+        """``request`` that returns the text on 200 and raises StatusError
+        on any other status."""
+        status, text = self.request(method, url, body, sender_id)
+        if status != 200:
+            raise StatusError(f"{method} {url} -> {status}: {text[:200]}")
+        return text
 
     def _request_local(self, method, parts, body, sender_id) -> tuple[int, str]:
         host = self._hosts.get(parts.netloc)
@@ -298,31 +303,3 @@ class Network:
         """Close the kept-alive connections, so that the peers' handler
         threads see EOF. A later request opens new ones."""
         self._client.close()
-
-    # -- conveniences ---------------------------------------------------
-
-    def fetch_text(self, url: str) -> str:
-        """GET; returns the body on 200, raises NotFound/TransportError otherwise."""
-        status, text = self.request("GET", url)
-        if status == 404:
-            raise NotFound(url)
-        if status != 200:
-            raise StatusError(f"GET {url} -> {status}: {text[:200]}")
-        return text
-
-    def post_text(self, url: str, body: str) -> str:
-        status, text = self.request("POST", url, body)
-        if status != 200:
-            raise StatusError(f"POST {url} -> {status}: {text[:200]}")
-        return text
-
-    def post_envelope(self, base_url: str, request_json: str,
-                      sender_id: str | None = None) -> str:
-        """POST a request envelope to an agent's root endpoint."""
-        status, text = self.request("POST", base_url.rstrip("/") + "/", request_json, sender_id)
-        if status != 200:
-            raise StatusError(f"POST {base_url} -> {status}: {text[:200]}")
-        return text
-
-    def fetch_wellknown(self, base_url: str) -> str:
-        return self.fetch_text(base_url.rstrip("/") + "/.wellknown")

@@ -16,7 +16,7 @@ from agentmesh.registry import RegistryStore
 from agentmesh.runtime import Agent, AgentConfig
 from agentmesh.scripted import ScriptedBackend
 from agentmesh.serve import HostServer
-from agentmesh.simulator import ScenarioConfig, run_scenario
+from agentmesh.simulator import ScenarioConfig, chain_config, run_scenario
 from agentmesh.transport import Network
 
 WEATHER_HASH = compute_hash(WEATHER_PD_TEXT)
@@ -172,6 +172,14 @@ class TestRunSim:
         assert code == 0
         assert "mode: agora" in out
         assert "cost_ratio:" in out
+
+    def test_chain_file_takes_the_chain_defaults_and_the_seed_flag(self, tmp_path, capsys):
+        scenario = tmp_path / "chain.json"
+        scenario.write_text(json.dumps({"kind": "chain", "orders": 9}))
+        for flags, config in (((), chain_config()), (("--seed", "3"), chain_config(seed=3))):
+            code, out, _ = run_cli("run-sim", str(scenario), *flags, capsys=capsys)
+            assert code == 0
+            assert f"total_cost_usd: {run_scenario(config).total_cost:.6f}\n" in out
 
     def test_summary_counts_failed_queries(self, tmp_path, capsys):
         raw = {"kind": "network", "name": "t", "seed": 3, "n_users": 4,

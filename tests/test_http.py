@@ -122,7 +122,7 @@ class TestRegistryEndpoint:
             client = RegistryClient(network, server.url)
             digest = client.submit(text)
             assert digest == compute_hash(text)
-            fetched = network.fetch_text(client.pd_url(digest))
+            fetched = network.call("GET", client.pd_url(digest))
             assert verify_document(fetched, digest).raw_text == text
         finally:
             network.close()
@@ -130,12 +130,12 @@ class TestRegistryEndpoint:
         assert fetched.headers["Content-Type"] == "text/plain; charset=utf-8"
         assert fetched.text == text
 
-    def test_network_fetch_text_verifies(self, registry_server):
+    def test_network_call_verifies(self, registry_server):
         server, registry = registry_server
         registry.submit(WEATHER_TEXT)
         network = Network()
         try:
-            text = network.fetch_text(f"{server.url}/pd/{WEATHER_HASH}")
+            text = network.call("GET", f"{server.url}/pd/{WEATHER_HASH}")
         finally:
             network.close()
         assert verify_document(text, WEATHER_HASH).raw_text == WEATHER_TEXT
@@ -247,7 +247,7 @@ class TestNetworkOverHttp:
         network = Network()
         try:
             with pytest.raises(TransportError):
-                network.post_text(server.url + "/pd", "text")
+                network.call("POST", server.url + "/pd", "text")
             assert host.handled == 1
         finally:
             release.set()
@@ -258,7 +258,7 @@ class TestNetworkOverHttp:
         monkeypatch.setattr(transport, "BACKOFF_S", 0.01)
         network = Network()
         with pytest.raises(TransportError, match="3 attempt"):
-            network.post_text(f"http://127.0.0.1:{_closed_port()}/pd", "text")
+            network.call("POST", f"http://127.0.0.1:{_closed_port()}/pd", "text")
         assert len(connects) == 3
 
     def test_proxy_environment_is_honoured(self, registry_server, monkeypatch):
@@ -269,7 +269,7 @@ class TestNetworkOverHttp:
         for name in ("HTTP_PROXY", "http_proxy"):
             monkeypatch.setenv(name, f"http://127.0.0.1:{_closed_port()}")
         with pytest.raises(TransportError):
-            Network().fetch_text(server.url + "/pd")
+            Network().call("GET", server.url + "/pd")
         for name in ("NO_PROXY", "no_proxy"):
             monkeypatch.setenv(name, "127.0.0.1")
         network = Network()
@@ -354,10 +354,10 @@ class TestPool:
         server.start_background()
         network = Network()
         try:
-            assert network.post_text(server.url + "/", "one") == "one"
+            assert network.call("POST", server.url + "/", "one") == "one"
             # The server closes the pooled connection after its idle timeout.
             assert _wait_for(lambda: not _handler_threads(existing))
-            assert network.post_text(server.url + "/", "two") == "two"
+            assert network.call("POST", server.url + "/", "two") == "two"
         finally:
             network.close()
             server.shutdown()
@@ -381,7 +381,7 @@ class TestPool:
         network = Network()
         try:
             with pytest.raises(TransportError):
-                network.post_text(f"http://127.0.0.1:{httpd.server_address[1]}/pd", "text")
+                network.call("POST", f"http://127.0.0.1:{httpd.server_address[1]}/pd", "text")
         finally:
             network.close()
             _stop(httpd)
@@ -399,7 +399,7 @@ class TestPool:
         def client(n):
             for i in range(50):
                 body = f"{n}-{i}"
-                if network.post_text(server.url + "/", body) != body:
+                if network.call("POST", server.url + "/", body) != body:
                     wrong.append(body)
 
         interval = sys.getswitchinterval()
@@ -449,7 +449,7 @@ class TestPool:
         network = Network()
         try:
             with pytest.raises(TransportError, match="502"):
-                network.fetch_text("https://peer.example:8443/.wellknown")
+                network.call("GET", "https://peer.example:8443/.wellknown")
         finally:
             network.close()
             listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
@@ -478,7 +478,7 @@ class TestPool:
         network = Network()
         try:
             with pytest.raises(TransportError, match="not UTF-8"):
-                network.fetch_text(f"http://127.0.0.1:{httpd.server_address[1]}/")
+                network.call("GET", f"http://127.0.0.1:{httpd.server_address[1]}/")
         finally:
             network.close()
             _stop(httpd)

@@ -8,7 +8,7 @@ from agentmesh import catalog
 from agentmesh.documents import compute_hash, verify_document
 from agentmesh.registry import RegistryClient, RegistryIntegrityError, RegistryStore
 from agentmesh.serve import HostServer
-from agentmesh.transport import Network, NotFound
+from agentmesh.transport import Network, StatusError
 from conftest import WEATHER_TEXT
 
 WEATHER_HASH = compute_hash(WEATHER_TEXT)
@@ -16,7 +16,9 @@ WEATHER_HASH = compute_hash(WEATHER_TEXT)
 
 @pytest.fixture
 def network():
-    return Network()
+    network = Network()
+    yield network
+    network.close()
 
 
 def chain(network, peers_of=None):
@@ -263,14 +265,14 @@ class TestWireSurface:
         network.register("db1", store)
         client = RegistryClient(network, "mem://db1")
         assert client.submit(WEATHER_TEXT) == WEATHER_HASH
-        text = network.fetch_text(client.pd_url(WEATHER_HASH))
+        text = network.call("GET", client.pd_url(WEATHER_HASH))
         assert verify_document(text, WEATHER_HASH).raw_text == WEATHER_TEXT
 
     def test_get_unknown_404(self, network):
         network.register("db1", RegistryStore("db1", network))
         client = RegistryClient(network, "mem://db1")
-        with pytest.raises(NotFound):
-            network.fetch_text(client.pd_url("0" * 40))
+        with pytest.raises(StatusError, match="404"):
+            network.call("GET", client.pd_url("0" * 40))
 
     def test_query_endpoint(self, network):
         store = RegistryStore("db1", network)
@@ -291,7 +293,7 @@ class TestWireSurface:
     def test_share_endpoint(self, network):
         registries = chain(network)
         registries["db1"].submit(WEATHER_TEXT)
-        assert network.post_text("mem://db1/share", "") == "1"
+        assert network.call("POST", "mem://db1/share") == "1"
 
     def test_bad_digest_path_is_400(self, network):
         network.register("db1", RegistryStore("db1", network))

@@ -10,7 +10,8 @@ import pytest
 
 from agentmesh import catalog
 from agentmesh.documents import ProtocolMetadata, TamperError, compute_hash, render_document
-from agentmesh.envelope import RequestEnvelope, decode_request, parse_wellknown
+from agentmesh.envelope import (RequestEnvelope, ResponseEnvelope, decode_request,
+                                encode_response, parse_wellknown)
 from agentmesh.gateway import Activity, CompletionBackend, CostLedger, TokenUsage
 from agentmesh.routines import RECEIVER, SENDER, RoutineError, execute_routine
 from agentmesh.runtime import (BOOTSTRAP_HASH, Agent, AgentConfig,
@@ -287,6 +288,12 @@ class TestNegotiation:
         with pytest.raises(NegotiationError, match="10 rounds"):
             alice.negotiate("bob", "weather", "weather", my_side=SENDER)
 
+    def test_unknown_peer_fails_without_a_model_call(self, world):
+        alice = world.add_agent("alice")
+        with pytest.raises(NegotiationError, match="failure"):
+            alice.negotiate("ghost", "weather", "weather", my_side=SENDER)
+        assert len(world.ledger) == 0
+
     def test_repeated_negotiation_identical_hash(self, world):
         bob = world.add_weather_server()
         digests = []
@@ -298,10 +305,10 @@ class TestNegotiation:
     def test_wellknown_advertises_negotiated_protocol(self, world):
         alice = world.add_agent("alice")
         bob = world.add_weather_server()
-        assert parse_wellknown(world.network.fetch_wellknown("mem://bob")) == {
+        assert parse_wellknown(world.network.call("GET", "mem://bob/.wellknown")) == {
             BOOTSTRAP_HASH: ("builtin:conversation",)}
         alice.negotiate("bob", "weather", "weather", my_side=SENDER)
-        wk = parse_wellknown(world.network.fetch_wellknown("mem://bob"))
+        wk = parse_wellknown(world.network.call("GET", "mem://bob/.wellknown"))
         assert WEATHER_HASH in wk
 
     def test_concurrent_triggers_collapse_to_one_negotiation(self, world):
@@ -338,6 +345,44 @@ class TestNegotiation:
         resp = bob.dispatch(RequestEnvelope(BOOTSTRAP_HASH, ("builtin:conversation",), late))
         assert json.loads(resp.body) == {"conversation_id": "alice-1",
                                          "message": "This conversation is closed."}
+
+
+class _ConversationAnswers:
+    """A wire host in front of *host* that answers every conversation
+    message with ``success`` and *body*."""
+
+    def __init__(self, host, body):
+        self.host = host
+        self.body = body
+
+    def handle_request(self, method, path, query, body, sender_id):
+        if method == "POST" and decode_request(body).protocol_hash == BOOTSTRAP_HASH:
+            return 200, "application/json", encode_response(ResponseEnvelope("success", self.body))
+        return self.host.handle_request(method, path, query, body, sender_id)
+
+
+class TestMalformedConversation:
+    @pytest.mark.parametrize("reply", ["[1]", '{"message": 5}', None])
+    def test_malformed_reply_fails_the_negotiation(self, world, reply):
+        bob = world.add_weather_server()
+        world.network.register("bob", _ConversationAnswers(bob, reply))
+        alice = world.add_agent("alice", thresholds=EscalationThresholds(1, 1))
+        resp, path = alice.send_task("bob", "weather",
+                                     {"location": "Paris", "date": "2024-10-14"}, "weather")
+        assert (resp.status, path) == ("success", "natural_language")
+        assert alice.state.negotiation_failed(("bob", "weather"))
+
+    @pytest.mark.parametrize("body", [
+        "[1,2]", '"text"', '{"conversation_id": [1], "message": "hi"}',
+        '{"conversation_id": "c", "message": 5}',
+        '{"conversation_id": "c", "message": "hi", "from": 5}'])
+    def test_malformed_body_gets_a_failure(self, world, caplog, body):
+        bob = world.add_weather_server()
+        with caplog.at_level("INFO"):
+            resp = bob.dispatch(RequestEnvelope(BOOTSTRAP_HASH, ("builtin:conversation",), body))
+        assert resp.status == "failure"
+        assert resp.body.startswith("malformed conversation body: ")
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
 
 # ── suitability ──────────────────────────────────────────────────────
@@ -840,5 +885,5 @@ class TestConcurrency:
         world.add_weather_server()
         env = RequestEnvelope(None, (), "What is the weather forecast for Paris on 2024-10-14?")
         from agentmesh.envelope import decode_response, encode_request
-        text = world.network.post_envelope("mem://bob", encode_request(env), "tester")
+        text = world.network.call("POST", "mem://bob/", encode_request(env), "tester")
         assert decode_response(text).status == "success"

@@ -118,6 +118,25 @@ class TestScenarioRuns:
         for activity in Activity:
             assert agora.summary.activity_totals[activity.value] > 0, activity
 
+    @pytest.mark.parametrize("mode", [simulator.MODE_AGORA, simulator.MODE_NL_ONLY])
+    def test_every_model_call_is_charged_once(self, mode):
+        config = replace(DESK, mode=mode)
+        tasks, _ = build_workload(config)
+        scenario = Scenario(config)
+        calls = Counter()
+        for agent in scenario.agents.values():
+            def counted(conversation, complete=agent.backend.complete,
+                        model_id=agent.config.model_id):
+                calls[model_id] += 1
+                return complete(conversation)
+            agent.backend.complete = counted
+        try:
+            scenario.run(tasks)
+        finally:
+            scenario.close()
+        assert calls == Counter(r.model_id for r in scenario.ledger.records())
+        assert calls.total() > 0
+
     def test_individual_failures_do_not_abort(self):
         config = ScenarioConfig(name="flaky", seed=3, n_users=5, total_queries=60,
                                 failure_rate=0.05)
