@@ -142,7 +142,7 @@ def cmd_serve_agent(args) -> int:
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        pass
+        server.shutdown()
     return EXIT_OK
 
 
@@ -166,7 +166,7 @@ def cmd_serve_registry(args) -> int:
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        pass
+        server.shutdown()
     return EXIT_OK
 
 

@@ -591,7 +591,8 @@ class Agent:
                 env = RequestEnvelope(BOOTSTRAP_HASH, (BOOTSTRAP_SOURCE,), body)
                 resp = self._send(peer_id, env)
                 if resp.status != STATUS_SUCCESS:
-                    raise NegotiationError(f"peer answered {resp.status}")
+                    reason = (resp.body or "")[:200]
+                    raise NegotiationError(f"peer answered {resp.status}: {reason}")
                 try:
                     _, reply, _ = _conversation_fields(resp.body)
                 except ValueError as exc:

@@ -9,10 +9,15 @@ Connections are kept open between requests (HTTP/1.1); one that stays
 silent for ``IDLE_TIMEOUT_S`` is closed, which frees its handler thread. A
 request body larger than ``MAX_BODY_BYTES`` is refused with 413 before it is
 read. An answer to a client that has already left is dropped without a word.
+
+The accept loop blocks on the listening socket and on a wake-up socket pair
+that the server owns, so ``shutdown`` stops it at once rather than at the
+next poll; it then ends the kept-alive connections and releases the port.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -23,8 +28,6 @@ from .transport import PLAIN_TEXT, SENDER_HEADER, WireHost
 # Far above any envelope or protocol document the simulated workloads send
 # (the largest is under 2 KB).
 MAX_BODY_BYTES = 1 << 20
-# How long a stopped server may take to notice; serve_forever polls for it.
-POLL_INTERVAL_S = 0.05
 # How long a handler waits on a silent connection before closing it. Far
 # above the gaps between one client's requests in a simulated run, so that a
 # client seldom sends on a connection the server is just closing.
@@ -110,7 +113,8 @@ class HostServer:
         self._httpd = ThreadingHTTPServer((bind, port), _make_handler(host, quiet))
         # The handlers' sockets, so that shutdown can end the kept-alive ones.
         self._httpd.connections = set()
-        self._serving = False
+        # shutdown writes a byte to the one end; the accept loop wakes on the other.
+        self._wake_reader, self._wake_writer = socket.socketpair()
         self._thread: threading.Thread | None = None
 
     @property
@@ -123,26 +127,39 @@ class HostServer:
         return f"http://{address}:{port}"
 
     def serve_forever(self) -> None:
-        self._serving = True
-        self._httpd.serve_forever(POLL_INTERVAL_S)
+        """Accept connections until ``shutdown`` is called."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._httpd.socket, selectors.EVENT_READ)
+            selector.register(self._wake_reader, selectors.EVENT_READ)
+            while True:
+                ready = {key.fileobj for key, _ in selector.select()}
+                if self._wake_reader in ready:
+                    return
+                # The listener is readable and the server has no timeout,
+                # so this accepts at once and hands the connection to a
+                # handler thread.
+                self._httpd.handle_request()
 
     def start_background(self) -> None:
-        self._serving = True
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        args=(POLL_INTERVAL_S,), daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
 
     def shutdown(self) -> None:
         """Stop serving, if started, end the open connections and release
-        the socket. A handler thread waiting on an idle connection sees EOF
-        and exits; a client's next request on it reconnects."""
-        if self._serving:
-            self._httpd.shutdown()
+        the socket; a second call does nothing. A handler thread waiting on
+        an idle connection sees EOF and exits; a client's next request on it
+        reconnects."""
+        try:
+            self._wake_writer.send(b"\0")
+        except OSError:  # closed by an earlier call
+            return
+        if self._thread is not None:
+            self._thread.join(timeout=5)
         for connection in list(self._httpd.connections):
             try:
                 connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass  # its handler has closed it already
         self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        self._wake_reader.close()
+        self._wake_writer.close()

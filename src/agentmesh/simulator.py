@@ -291,7 +291,8 @@ class Scenario:
 
     def close(self) -> None:
         # The client's kept-alive connections first, so that the servers'
-        # handler threads see EOF; then one short poll per server.
+        # handler threads see EOF; then the servers, each of which stops at
+        # once, so stopping them one after another costs little.
         self.network.close()
         for server in self._servers:
             server.shutdown()

@@ -2,9 +2,11 @@
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -299,25 +301,29 @@ class TestServeCommands:
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "agentmesh.cli", "serve-agent",
-             os.path.join(CONFIGS, "agent_weather.json"), "--port", str(port)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        try:
-            deadline = 50
-            wk = None
-            for _ in range(deadline):
+        with subprocess.Popen(
+                [sys.executable, "-m", "agentmesh.cli", "serve-agent",
+                 os.path.join(CONFIGS, "agent_weather.json"), "--port", str(port)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                wk = None
+                for _ in range(50):
+                    try:
+                        wk = requests.get(f"http://127.0.0.1:{port}/.wellknown", timeout=1)
+                        break
+                    except requests.RequestException:
+                        time.sleep(0.1)
+                assert wk is not None and wk.status_code == 200
+                assert isinstance(wk.json(), dict)
+            finally:
+                # Ctrl-C: the blocked accept loop ends and the port is released.
+                proc.send_signal(signal.SIGINT)
                 try:
-                    wk = requests.get(f"http://127.0.0.1:{port}/.wellknown", timeout=1)
-                    break
-                except requests.RequestException:
-                    import time
-                    time.sleep(0.1)
-            assert wk is not None and wk.status_code == 200
-            assert isinstance(wk.json(), dict)
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+                    _, err = proc.communicate(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    raise
+        assert proc.returncode == 0, err
 
 
 def _load_agent_config(path):

@@ -294,16 +294,14 @@ class TestNetworkOverHttp:
             def log_message(self, fmt, *args):
                 pass
 
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), SetsCookie)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        httpd = _http_server(SetsCookie)
         network = Network()
         try:
             for _ in range(2):
                 network.request("GET", f"http://127.0.0.1:{httpd.server_address[1]}/")
         finally:
             network.close()
-            httpd.shutdown()
-            httpd.server_close()
+            _stop(httpd)
         assert sent == [None, None]
 
 
@@ -581,3 +579,39 @@ class TestIdleConnections:
         finally:
             network.close()
             server.shutdown()
+
+
+class TestShutdown:
+    def test_servers_stop_at_once(self):
+        # As many as the desk simulation runs; it stops them one by one.
+        servers = [HostServer(_Fixed("up")) for _ in range(23)]
+        network = Network()
+        try:
+            for server in servers:
+                server.start_background()
+                assert network.request("GET", server.url + "/") == (200, "up")
+            # Last started, first stopped: were a stop noticed only at the
+            # server's next poll, each of these would wait about a whole poll.
+            start = time.perf_counter()
+            for server in reversed(servers):
+                server.shutdown()
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.25, f"23 stops took {elapsed:.3f} s"
+        finally:
+            network.close()
+            for server in servers:
+                server.shutdown()
+
+    @pytest.mark.parametrize("started", [True, False])
+    def test_stop_frees_the_thread_and_the_port(self, started):
+        existing = set(threading.enumerate())
+        server = HostServer(_Fixed("up"))
+        if started:
+            server.start_background()
+        serving = [t for t in threading.enumerate() if t not in existing]
+        assert len(serving) == int(started)
+        server.shutdown()
+        server.shutdown()  # harmless
+        assert not any(t.is_alive() for t in serving)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", server.port), timeout=5)

@@ -46,7 +46,8 @@ class _StubChatServer:
 
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.httpd.server_address[1]}/v1/chat/completions"
-        threading.Thread(target=self.httpd.serve_forever, daemon=True).start()
+        # A short poll, so that close() does not wait the default 0.5 s.
+        threading.Thread(target=self.httpd.serve_forever, args=(0.05,), daemon=True).start()
 
     def close(self):
         self.httpd.shutdown()

@@ -294,6 +294,14 @@ class TestNegotiation:
             alice.negotiate("ghost", "weather", "weather", my_side=SENDER)
         assert len(world.ledger) == 0
 
+    def test_failed_negotiation_logs_the_peers_reason(self, world, caplog):
+        alice = world.add_agent("alice", thresholds=EscalationThresholds(1, 1))
+        with caplog.at_level("INFO"):
+            alice.send_task("ghost", "weather", {"location": "Paris", "date": "2024-10-14"},
+                            "weather")
+        assert alice.state.negotiation_failed(("ghost", "weather"))
+        assert any("peer answered failure: unknown peer: ghost" in m for m in caplog.messages)
+
     def test_repeated_negotiation_identical_hash(self, world):
         bob = world.add_weather_server()
         digests = []
