@@ -112,6 +112,22 @@ def _build_backend(raw: dict, model_id: str):
     raise ValueError(f"unknown backend kind: {kind}")
 
 
+def _serve(host, args, label: str) -> int:
+    """Bind *host* to ``args.port`` on ``args.bind`` and serve it until
+    Ctrl-C."""
+    try:
+        server = HostServer(host, port=args.port, bind=args.bind, quiet=False)
+    except OSError as exc:
+        _err(f"cannot bind port {args.port}: {exc}")
+        return EXIT_BIND
+    print(f"serving {label} on {server.url}")
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        server.shutdown()
+    return EXIT_OK
+
+
 def cmd_serve_agent(args) -> int:
     prices = dict(DEFAULT_PRICES)
     if args.prices:
@@ -132,18 +148,7 @@ def cmd_serve_agent(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _err(f"bad agent config: {exc}")
         return EXIT_CONFIG
-
-    try:
-        server = HostServer(agent, port=args.port, bind=args.bind, quiet=False)
-    except OSError as exc:
-        _err(f"cannot bind port {args.port}: {exc}")
-        return EXIT_BIND
-    print(f"serving agent {config.agent_id} on {server.url}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
-    return EXIT_OK
+    return _serve(agent, args, f"agent {config.agent_id}")
 
 
 def cmd_serve_registry(args) -> int:
@@ -157,17 +162,7 @@ def cmd_serve_registry(args) -> int:
     except OSError as exc:
         _err(f"bad registry root: {exc}")
         return EXIT_CONFIG
-    try:
-        server = HostServer(registry, port=args.port, bind=args.bind, quiet=False)
-    except OSError as exc:
-        _err(f"cannot bind port {args.port}: {exc}")
-        return EXIT_BIND
-    print(f"serving registry {args.id} ({len(registry)} documents) on {server.url}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
-    return EXIT_OK
+    return _serve(registry, args, f"registry {args.id} ({len(registry)} documents)")
 
 
 # ── simulation ───────────────────────────────────────────────────────

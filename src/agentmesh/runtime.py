@@ -1,15 +1,17 @@
 """The agent runtime: dispatch, escalation, negotiation, and routines.
 
 An agent serves the envelope endpoint and, on the client side, runs the
-escalation policy per (peer, task type): plain natural language first, a
-suitability check against advertised/registered protocols once exchanges
-repeat, and negotiation of a fresh protocol once they repeat further, when
-the agent has a registry to name as the protocol's source.
+escalation policy per (peer, task type), whose state is one ``PairState``:
+plain natural language first, a suitability check against
+advertised/registered protocols once exchanges repeat, and negotiation of a
+fresh protocol once they repeat further, when the agent has a registry to
+name as the protocol's source.
 Negotiated or adopted protocols are pinned; both sides then try to replace
 model handling with synthesized routines, after which repeated exchanges
 cost nothing. A sender runs its routine on the task payload as JSON would
 decode it, without encoding it first; a receiver runs its routine on the
-decoded request body.
+decoded request body. A peer that rejects a pinned protocol unpins it, and
+the query goes out in language, parsed and reported as natural language.
 
 Inbound requests are routed by protocol hash: a registered routine handles
 the request without any model call; a known (or fetchable) document is
@@ -19,7 +21,9 @@ natural-language communications across all peers and initiates a
 negotiation with the current sender when that count hits its threshold,
 resetting the count after any successful negotiation. An agent never
 starts a negotiation again for a pair whose negotiation failed, and without
-a registry it neither starts nor accepts one as the sender.
+a registry it neither starts nor accepts one as the sender. That guard is
+read under the pair's lock, which its negotiation holds, so a query that
+waited behind a failed negotiation goes on in language.
 
 An agent builds its tool table from its config. An external tool sends the
 task to a peer through the same escalation policy and returns the peer's
@@ -154,57 +158,47 @@ def decide_mode(count: int, thresholds: EscalationThresholds) -> Mode:
     return Mode.NATURAL_LANGUAGE
 
 
-class EscalationState:
-    """Per-(peer, task_type) counters plus the server-side NL counter.
+@dataclass(slots=True)
+class PairState:
+    """One (peer, task type) pair: its communication count, whether a
+    suitability check ran or a negotiation failed, and the adopted protocol's
+    ``(digest, sources)``. ``lock`` serializes its negotiations and their guard."""
 
-    All updates are atomic; a lost increment cannot occur under concurrent
-    requests.
-    """
+    count: int = 0
+    checked: bool = False
+    failed: bool = False
+    adopted: tuple[str, tuple[str, ...]] | None = None
+    lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
+
+
+class EscalationState:
+    """One PairState per (peer, task type), plus the server-side NL counter.
+    Counter updates are atomic: no increment is lost to concurrent requests."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counts: dict[tuple[str, str], int] = {}
-        self._checked: set[tuple[str, str]] = set()
-        self._failed: set[tuple[str, str]] = set()
-        self._adopted: dict[tuple[str, str], tuple[str, tuple[str, ...]]] = {}
+        self._pairs: dict[tuple[str, str], PairState] = {}
         self._server_nl = 0
 
+    def pair(self, key: tuple[str, str]) -> PairState:
+        """The record of *key*, made on first use."""
+        pair = self._pairs.get(key)
+        if pair is None:
+            with self._lock:
+                pair = self._pairs.setdefault(key, PairState())
+        return pair
+
     def record_interaction(self, key: tuple[str, str]) -> int:
+        pair = self.pair(key)
         with self._lock:
-            self._counts[key] = self._counts.get(key, 0) + 1
-            return self._counts[key]
+            pair.count += 1
+            return pair.count
 
     def count(self, key: tuple[str, str]) -> int:
-        with self._lock:
-            return self._counts.get(key, 0)
+        return self.pair(key).count
 
-    def was_checked(self, key) -> bool:
-        with self._lock:
-            return key in self._checked
-
-    def mark_checked(self, key) -> None:
-        with self._lock:
-            self._checked.add(key)
-
-    def negotiation_failed(self, key) -> bool:
-        with self._lock:
-            return key in self._failed
-
-    def mark_negotiation_failed(self, key) -> None:
-        with self._lock:
-            self._failed.add(key)
-
-    def adopt(self, key, digest: str, sources: tuple[str, ...]) -> None:
-        with self._lock:
-            self._adopted[key] = (digest, tuple(sources))
-
-    def adopted(self, key) -> tuple[str, tuple[str, ...]] | None:
-        with self._lock:
-            return self._adopted.get(key)
-
-    def unadopt(self, key) -> None:
-        with self._lock:
-            self._adopted.pop(key, None)
+    def was_checked(self, key: tuple[str, str]) -> bool:
+        return self.pair(key).checked
 
     def record_server_nl(self) -> int:
         with self._lock:
@@ -275,13 +269,12 @@ class Agent:
         self.network = network
         self.state = EscalationState()
         self._tool_impls = {desc.name: self._tool_impl(desc) for desc in config.tools}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._documents: dict[str, ProtocolDocument] = {}
         self._routines: dict[tuple[str, str], Routine] = {}
         self._conversations: dict[str, dict | None] = {}   # None once closed
         self._conv_counter = 0
         self._pd_model_uses: dict[str, int] = {}
-        self._negotiation_locks: dict[tuple[str, str], threading.Lock] = {}
 
         self.registry = RegistryClient(network, config.registry_url) if config.registry_url else None
         if config.pd_store:
@@ -532,26 +525,22 @@ class Agent:
 
     # ── negotiation (initiator side) ───────────────────────────────────
 
-    def _negotiation_lock(self, key) -> threading.Lock:
-        with self._lock:
-            if key not in self._negotiation_locks:
-                self._negotiation_locks[key] = threading.Lock()
-            return self._negotiation_locks[key]
-
     def _try_negotiate(self, peer_id: str, task_type: str, task_description: str,
                        my_side: str) -> bool:
         """Negotiate unless the pair already failed or, as the sender, there
-        is no registry to adopt from. True on success; a failure marks the pair."""
-        key = (peer_id, task_type)
-        if (my_side == SENDER and self.registry is None) or self.state.negotiation_failed(key):
-            return False
-        try:
-            self.negotiate(peer_id, task_type, task_description, my_side)
-        except NegotiationError as exc:
-            logger.info("%s: negotiation with %s for %s failed: %s",
-                        self.agent_id, peer_id, task_type, exc)
-            self.state.mark_negotiation_failed(key)
-            return False
+        is no registry to adopt from. True on success; a failure marks the pair.
+        The guard is read under the pair's lock, so no waiter retries a failure."""
+        pair = self.state.pair((peer_id, task_type))
+        with pair.lock:
+            if (my_side == SENDER and self.registry is None) or pair.failed:
+                return False
+            try:
+                self._negotiate(pair, peer_id, task_type, task_description, my_side)
+            except NegotiationError as exc:
+                logger.info("%s: negotiation with %s for %s failed: %s",
+                            self.agent_id, peer_id, task_type, exc)
+                pair.failed = True
+                return False
         return True
 
     def negotiate(self, peer_id: str, task_type: str, task_description: str,
@@ -562,48 +551,52 @@ class Agent:
         Concurrent triggers for the same (peer, task_type) collapse into one
         negotiation; late arrivals reuse its result.
         """
-        key = (peer_id, task_type)
-        with self._negotiation_lock(key):
-            if my_side == SENDER:
-                adopted = self.state.adopted(key)
-                if adopted:
-                    doc = self.get_document(adopted[0])
-                    if doc is not None:
-                        return doc
-            conv_id = self._next_conversation_id()
-            conversation = [prompts.negotiation_system(
-                self.agent_id, my_side, task_type, task_description)]
-            pending_opening = prompts.negotiation_opening(
-                task_type, task_description, initiator_is_sender=(my_side == SENDER))
+        pair = self.state.pair((peer_id, task_type))
+        with pair.lock:
+            return self._negotiate(pair, peer_id, task_type, task_description, my_side)
 
-            for round_no in range(NEGOTIATION_ROUNDS):
-                if round_no == 0:
-                    message = pending_opening
-                else:
-                    try:
-                        message = self._complete(conversation, Activity.NEGOTIATION)
-                    except BackendError as exc:
-                        raise NegotiationError(f"backend failure: {exc}") from exc
-                conversation.append(Message("assistant", message))
+    def _negotiate(self, pair: PairState, peer_id: str, task_type: str,
+                   task_description: str, my_side: str) -> ProtocolDocument:
+        """``negotiate``'s body; the caller holds ``pair.lock``."""
+        adopted = pair.adopted
+        if my_side == SENDER and adopted:
+            doc = self.get_document(adopted[0])
+            if doc is not None:
+                return doc
+        conv_id = self._next_conversation_id()
+        conversation = [prompts.negotiation_system(
+            self.agent_id, my_side, task_type, task_description)]
+        pending_opening = prompts.negotiation_opening(
+            task_type, task_description, initiator_is_sender=(my_side == SENDER))
 
-                body = json.dumps({"conversation_id": conv_id,
-                                   "from": self.agent_id, "message": message})
-                env = RequestEnvelope(BOOTSTRAP_HASH, (BOOTSTRAP_SOURCE,), body)
-                resp = self._send(peer_id, env)
-                if resp.status != STATUS_SUCCESS:
-                    reason = (resp.body or "")[:200]
-                    raise NegotiationError(f"peer answered {resp.status}: {reason}")
+        for round_no in range(NEGOTIATION_ROUNDS):
+            if round_no == 0:
+                message = pending_opening
+            else:
                 try:
-                    _, reply, _ = _conversation_fields(resp.body)
-                except ValueError as exc:
-                    raise NegotiationError(f"malformed conversation reply: {exc}") from exc
-                conversation.append(Message("user", reply))
+                    message = self._complete(conversation, Activity.NEGOTIATION)
+                except BackendError as exc:
+                    raise NegotiationError(f"backend failure: {exc}") from exc
+            conversation.append(Message("assistant", message))
 
-                block = prompts.extract_finalized(message) or prompts.extract_finalized(reply)
-                if block is not None:
-                    return self._finalize(block, peer_id, task_type, my_side)
-            raise NegotiationError(
-                f"no finalized protocol after {NEGOTIATION_ROUNDS} rounds")
+            body = json.dumps({"conversation_id": conv_id,
+                               "from": self.agent_id, "message": message})
+            env = RequestEnvelope(BOOTSTRAP_HASH, (BOOTSTRAP_SOURCE,), body)
+            resp = self._send(peer_id, env)
+            if resp.status != STATUS_SUCCESS:
+                reason = (resp.body or "")[:200]
+                raise NegotiationError(f"peer answered {resp.status}: {reason}")
+            try:
+                _, reply, _ = _conversation_fields(resp.body)
+            except ValueError as exc:
+                raise NegotiationError(f"malformed conversation reply: {exc}") from exc
+            conversation.append(Message("user", reply))
+
+            block = prompts.extract_finalized(message) or prompts.extract_finalized(reply)
+            if block is not None:
+                return self._finalize(block, peer_id, task_type, my_side)
+        raise NegotiationError(
+            f"no finalized protocol after {NEGOTIATION_ROUNDS} rounds")
 
     def _finalize(self, block: str, peer_id: str, task_type: str, my_side: str) -> ProtocolDocument:
         doc = parse_document(block)
@@ -615,7 +608,8 @@ class Agent:
                 logger.warning("%s: registry submit failed: %s", self.agent_id, exc)
         self.state.reset_server_counter()
         if my_side == SENDER and self.registry is not None:
-            self.state.adopt((peer_id, task_type), doc.hash, (self.registry.pd_url(doc.hash),))
+            self.state.pair((peer_id, task_type)).adopted = (
+                doc.hash, (self.registry.pd_url(doc.hash),))
         self.synthesize_routine(doc, my_side)
         return doc
 
@@ -758,19 +752,22 @@ class Agent:
     def _send_task_inner(self, peer_id: str, task_type: str, payload: dict,
                          task_description: str) -> tuple[ResponseEnvelope, str]:
         key = (peer_id, task_type)
+        pair = self.state.pair(key)
         path = "protocol"
-        adopted = self.state.adopted(key)
+        adopted = pair.adopted
         if adopted is None:
             mode = decide_mode(self.state.record_interaction(key), self.config.thresholds)
             if ((mode is Mode.NEGOTIATE
                  and self._try_negotiate(peer_id, task_type, task_description, SENDER))
                     or (mode is Mode.CHECK_EXISTING
-                        and self._adopt_existing(peer_id, key, task_description))):
+                        and self._adopt_existing(peer_id, pair, task_description))):
                 path = mode.value
-            adopted = self.state.adopted(key)
+            adopted = pair.adopted
         if adopted:
-            return self._query_via_protocol(peer_id, key, adopted, task_type,
-                                            task_description, payload), path
+            response = self._query_via_protocol(peer_id, pair, adopted, task_type,
+                                                task_description, payload)
+            if response is not None:
+                return response, path
 
         body = self.compose_body(task_type, task_description, payload, None)
         response = self._send(peer_id, RequestEnvelope(None, (), body))
@@ -780,10 +777,10 @@ class Agent:
             self.parse_reply(task_type, task_description, response.body)
         return response, "natural_language"
 
-    def _adopt_existing(self, peer_id: str, key, task_description: str) -> bool:
+    def _adopt_existing(self, peer_id: str, pair: PairState, task_description: str) -> bool:
         """Adopt a protocol the peer or the registry has if the backend judges
         it suitable, and write its sender routine. True when one was adopted."""
-        self.state.mark_checked(key)
+        pair.checked = True
         candidates = self.gather_candidates(peer_id)
         digest = self.check_suitability(task_description, candidates)
         if digest is None:
@@ -794,12 +791,14 @@ class Agent:
         except (ResolutionError, DocumentError) as exc:
             logger.info("%s: adopting %.8s failed: %s", self.agent_id, digest, exc)
             return False
-        self.state.adopt(key, digest, sources)
+        pair.adopted = (digest, sources)
         self.synthesize_routine(doc, SENDER)
         return True
 
-    def _query_via_protocol(self, peer_id, key, adopted, task_type,
-                            task_description, payload) -> ResponseEnvelope:
+    def _query_via_protocol(self, peer_id, pair: PairState, adopted, task_type,
+                            task_description, payload) -> ResponseEnvelope | None:
+        """Send *payload* under the *adopted* protocol; None when the peer
+        rejects it, which drops the pair's adoption."""
         digest, sources = adopted
         doc = self.get_document(digest)
         routine = self.get_routine(digest, SENDER)
@@ -817,9 +816,8 @@ class Agent:
         if resp.status == STATUS_REJECTED:
             # Advertisement is advisory; the peer may refuse a protocol.
             logger.info("%s: peer %s rejected %.8s; dropping adoption", self.agent_id, peer_id, digest)
-            self.state.unadopt(key)
-            body = self.compose_body(task_type, task_description, payload, None)
-            resp = self._send(peer_id, RequestEnvelope(None, (), body))
+            pair.adopted = None
+            return None
         return resp
 
     def compose_body(self, task_type: str, task_description: str, payload: dict,

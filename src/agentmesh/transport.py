@@ -6,6 +6,7 @@ routes client calls either to registered in-process hosts (``mem://name``
 URLs, the deterministic default for simulations) or over real HTTP(S).
 ``Network.request`` returns the raw status and text; ``Network.call``
 returns the text of a 200 answer and raises ``StatusError`` on any other.
+A host that raises is answered with 500 on both transports.
 
 HTTP(S) goes through ``HttpClient``, a small client on the standard
 library's ``http.client``. It keeps a lock-guarded list of idle connections
@@ -280,7 +281,10 @@ class Network:
         if host is None:
             raise TransportError(f"no in-process host named {parts.netloc!r}")
         query = dict(parse_qsl(parts.query))
-        status, _ctype, text = host.handle_request(method, parts.path or "/", query, body, sender_id)
+        try:
+            status, _ctype, text = host.handle_request(method, parts.path or "/", query, body, sender_id)
+        except Exception as exc:  # noqa: BLE001 - answered as HostServer answers it
+            return 500, f"internal error: {exc}"
         return status, text
 
     def _request_http(self, method, url, parts, body, sender_id) -> tuple[int, str]:

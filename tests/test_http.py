@@ -209,6 +209,30 @@ class _Fixed:
         return 200, "text/plain", self.text
 
 
+class _Raises:
+    """A wire host whose handler fails."""
+
+    def handle_request(self, method, path, query, body, sender_id):
+        raise RuntimeError("boom")
+
+
+class TestHostFault:
+    def test_both_transports_answer_500(self):
+        network = Network()
+        network.register("broken", _Raises())
+        server = HostServer(_Raises())
+        server.start_background()
+        try:
+            answers = [network.request("GET", f"{base}/x") for base in ("mem://broken", server.url)]
+            for base in ("mem://broken", server.url):
+                with pytest.raises(transport.StatusError, match="500"):
+                    network.call("GET", f"{base}/x")
+        finally:
+            server.shutdown()
+            network.close()
+        assert answers == [(500, "internal error: boom")] * 2
+
+
 class TestNetworkOverHttp:
     def test_connection_is_kept_open(self, registry_server, connects):
         server, _ = registry_server

@@ -5,6 +5,7 @@ import enum
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from agentmesh.documents import ProtocolMetadata, TamperError, compute_hash, ren
 from agentmesh.envelope import (RequestEnvelope, ResponseEnvelope, decode_request,
                                 encode_response, parse_wellknown)
 from agentmesh.gateway import Activity, CompletionBackend, CostLedger, TokenUsage
+from agentmesh.registry import RegistryStore
 from agentmesh.routines import RECEIVER, SENDER, RoutineError, execute_routine
 from agentmesh.runtime import (BOOTSTRAP_HASH, Agent, AgentConfig,
                                EscalationThresholds, Mode, NegotiationError,
@@ -33,6 +35,26 @@ class StubbornBackend(ScriptedBackend):
         if kind == "negotiation_finalize":
             return "negotiation_proposal", "Here is my proposal: let us keep talking."
         return kind, reply
+
+
+class GatedStubbornBackend(StubbornBackend):
+    """A StubbornBackend whose every completion waits until *gate* is set."""
+
+    def __init__(self, gate: threading.Event):
+        super().__init__()
+        self.gate = gate
+
+    def complete(self, conversation):
+        self.gate.wait(10)
+        return super().complete(conversation)
+
+
+def negotiation_records(world) -> int:
+    return sum(1 for r in world.ledger.records() if r.activity is Activity.NEGOTIATION)
+
+
+def language_records(world) -> int:
+    return sum(1 for r in world.ledger.records() if r.activity is Activity.NATURAL_LANGUAGE)
 
 
 class FixedReplyBackend(CompletionBackend):
@@ -299,7 +321,7 @@ class TestNegotiation:
         with caplog.at_level("INFO"):
             alice.send_task("ghost", "weather", {"location": "Paris", "date": "2024-10-14"},
                             "weather")
-        assert alice.state.negotiation_failed(("ghost", "weather"))
+        assert alice.state.pair(("ghost", "weather")).failed
         assert any("peer answered failure: unknown peer: ghost" in m for m in caplog.messages)
 
     def test_repeated_negotiation_identical_hash(self, world):
@@ -344,6 +366,46 @@ class TestNegotiation:
                          if r.activity == Activity.NEGOTIATION)
         assert concurrent == single
 
+    def test_send_that_waited_behind_a_failed_negotiation_goes_on_in_language(self, world):
+        payload = {"location": "Paris", "date": "2024-10-14"}
+        single = type(world)()
+        single.add_weather_server("bob", backend=StubbornBackend())
+        single.add_agent("alice", thresholds=EscalationThresholds(1, 1)).send_task(
+            "bob", "weather", payload, "weather")
+        one_failure = negotiation_records(single)
+
+        gate = threading.Event()
+        world.add_weather_server("bob", backend=GatedStubbornBackend(gate))
+        alice = world.add_agent("alice", thresholds=EscalationThresholds(1, 1))
+        sent = []
+        threads = [threading.Thread(target=lambda: sent.append(
+            alice.send_task("bob", "weather", payload, "weather"))) for _ in range(2)]
+        for thread in threads:      # the second waits behind the first's negotiation
+            thread.start()
+            time.sleep(0.2)
+        gate.set()
+        for thread in threads:
+            thread.join()
+        assert [resp.status for resp, _ in sent] == ["success"] * 2
+        assert [mode for _, mode in sent] == ["natural_language"] * 2
+        assert negotiation_records(world) == one_failure
+        assert alice.state.pair(("bob", "weather")).failed
+
+    def test_registry_fault_over_mem_does_not_fail_the_negotiation(self, world, tmp_path, caplog):
+        root = tmp_path / "registry"
+        world.registry = RegistryStore("db1", world.network, root=str(root))
+        world.network.register("db1", world.registry)
+        world.add_weather_server()
+        alice = world.add_agent("alice", thresholds=EscalationThresholds(1, 1))
+        root.rmdir()
+        root.write_text("", encoding="utf-8")               # the root can no longer be written
+        with caplog.at_level("WARNING"):
+            resp, mode = alice.send_task("bob", "weather", {"location": "Paris",
+                                                            "date": "2024-10-14"}, "weather")
+        assert (resp.status, mode) == ("success", "negotiate")
+        assert any("registry submit failed" in m and "500" in m for m in caplog.messages)
+        assert not alice.state.pair(("bob", "weather")).failed
+
     def test_finished_conversation_keeps_no_history(self, world):
         alice = world.add_agent("alice")
         bob = world.add_weather_server()
@@ -378,7 +440,7 @@ class TestMalformedConversation:
         resp, path = alice.send_task("bob", "weather",
                                      {"location": "Paris", "date": "2024-10-14"}, "weather")
         assert (resp.status, path) == ("success", "natural_language")
-        assert alice.state.negotiation_failed(("bob", "weather"))
+        assert alice.state.pair(("bob", "weather")).failed
 
     @pytest.mark.parametrize("body", [
         "[1,2]", '"text"', '{"conversation_id": [1], "message": "hi"}',
@@ -532,7 +594,7 @@ class TestEscalationTrace:
         paid = {r.activity for r in world.ledger.records()}
         assert Activity.NEGOTIATION not in paid
         assert Activity.ROUTINE_IMPLEMENTATION not in paid
-        assert bob.state.negotiation_failed(("alice", "weather"))
+        assert bob.state.pair(("alice", "weather")).failed
         assert alice._conversations == {}
 
     def test_server_does_not_renegotiate_a_failed_pair(self, world):
@@ -552,7 +614,7 @@ class TestEscalationTrace:
         assert [(resp.status, mode) for resp, mode in sent] == [
             ("success", "natural_language")] * 13
         assert negotiations() == failed
-        assert bob.state.negotiation_failed(("alice", "weather"))
+        assert bob.state.pair(("alice", "weather")).failed
 
     def test_server_initiated_negotiation_after_ten_nl(self, world):
         bob = world.add_weather_server()
@@ -589,12 +651,18 @@ class TestEscalationTrace:
         taxi_text = catalog.pd_text(catalog.CATALOG["taxi"])
         taxi_hash = world.registry.submit(taxi_text)
         alice.resolve_protocol(taxi_hash, ())
-        alice.state.adopt(("bob", "taxi"), taxi_hash, (f"mem://db1/pd/{taxi_hash}",))
+        alice.state.pair(("bob", "taxi")).adopted = (taxi_hash, (f"mem://db1/pd/{taxi_hash}",))
         payload = {"pickup": "Opera House", "dropoff": "Tech Park", "time": "09:00"}
         resp, mode = alice.send_task("bob", "taxi", payload, "book a taxi ride")
-        assert mode == "protocol"                               # attempted via protocol
-        assert resp.status == "success"                         # answered in NL fallback
-        assert alice.state.adopted(("bob", "taxi")) is None     # adoption dropped
+        assert mode == "natural_language"                       # answered in language
+        assert resp.status == "success"
+        assert alice.state.pair(("bob", "taxi")).adopted is None  # adoption dropped
+        # The fallback is charged as a language send, parse included, plus
+        # the compose under the rejected protocol.
+        plain = type(world)()
+        plain.add_weather_server()
+        plain.add_agent("alice").send_task("bob", "taxi", payload, "book a taxi ride")
+        assert language_records(world) == language_records(plain) + 1
 
 
 class _Seats(enum.IntEnum):
@@ -626,7 +694,7 @@ class TestSenderRoutine:
         desc = catalog.CATALOG["weather"].task_description
         for _ in range(5):
             alice.send_task("bob", "weather", {"location": "Paris", "date": "2024-10-14"}, desc)
-        assert alice.state.adopted(("bob", "weather"))
+        assert alice.state.pair(("bob", "weather")).adopted
         recorder = _RecordsBodies(bob)
         world.network.register("bob", recorder)
         return alice, recorder, desc
@@ -642,7 +710,7 @@ class TestSenderRoutine:
     ], ids=["flat", "nested", "tuple", "int-key", "intenum", "nan", "missing-field"])
     def test_body_matches_routine_on_encoded_payload(self, pair, monkeypatch, payload):
         alice, recorder, desc = pair
-        digest, _ = alice.state.adopted(("bob", "weather"))
+        digest, _ = alice.state.pair(("bob", "weather")).adopted
         try:
             expected = execute_routine(alice.get_routine(digest, SENDER), json.dumps(payload),
                                        alice._tool_impls)
