@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .documents import (DocumentError, TamperError, compute_hash, document_filename,
                         load_document, normalize_hash, save_document,
@@ -23,9 +23,9 @@ from .registry import RegistryIntegrityError, RegistryStore
 from .runtime import Agent, AgentConfig
 from .scripted import ScriptedBackend
 from .serve import HostServer
-from .simulator import (MODE_AGORA, MODE_NL_ONLY, ScenarioConfig, chain_config,
-                        emit_report, load_scenario_file, run_paired,
-                        run_scenario, run_two_agent_demo, window_average)
+from .simulator import (MODES, ScenarioConfig, chain_config, emit_report,
+                        load_scenario_file, run_paired, run_scenario,
+                        run_two_agent_demo, window_average)
 from .transport import Network
 
 EXIT_OK = 0
@@ -143,6 +143,8 @@ def cmd_serve_agent(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         config = AgentConfig.from_dict(raw)
+        if config.model_id not in prices:
+            raise ValueError(f"model_id has no price: {config.model_id!r}")
         backend = _build_backend(raw, config.model_id)
         agent = Agent(config, backend, CostLedger(prices), Network())
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -179,50 +181,22 @@ def _print_scenario(result, baseline=None) -> None:
         print(f"cost_ratio: {baseline.total_cost / result.total_cost:.3f}")
 
 
-# The keys a demo scenario file may set besides `kind`: the type of each
-# value and, for a count, its least value.
-DEMO_PARAMS = {
-    "two_agent": {"protocol_uses": (int, 0), "nl_exchanges": (int, 0),
-                  "calibrated": (bool, None)},
-    "chain": {"orders": (int, 1), "seed": (int, None)},
-}
-
-
-def check_demo_params(kind: str, raw: dict) -> None:
-    """Raise ValueError on a key the demo does not take or a value it
-    cannot use."""
-    params = DEMO_PARAMS[kind]
-    unknown = sorted(set(raw) - set(params) - {"kind"})
-    if unknown:
-        raise ValueError(f"unknown {kind} keys: {', '.join(unknown)}")
-    for key, value in raw.items():
-        if key == "kind":
-            continue
-        expected, least = params[key]
-        if type(value) is not expected or (least is not None and value < least):
-            need = expected.__name__ if least is None else f"an int >= {least}"
-            raise ValueError(f"{key} must be {need}, not {value!r}")
-
-
 def cmd_run_sim(args) -> int:
     try:
-        raw = load_scenario_file(args.scenario)
-    except (OSError, ValueError) as exc:
+        kind, params = load_scenario_file(args.scenario)
+        if kind == "chain":
+            config = chain_config(**params)
+        elif kind == "network":
+            config = ScenarioConfig.from_dict(params)
+    except OSError as exc:
         _err(f"bad scenario file: {exc}")
         return EXIT_CONFIG
-    kind = raw.get("kind", "network")
-    if kind in DEMO_PARAMS:
-        try:
-            check_demo_params(kind, raw)
-        except ValueError as exc:
-            _err(f"bad scenario config: {exc}")
-            return EXIT_CONFIG
-    elif kind != "network":
-        _err(f"bad scenario config: unknown kind: {kind!r}")
+    except (TypeError, ValueError) as exc:
+        _err(f"bad scenario config: {exc}")
         return EXIT_CONFIG
 
     if kind == "two_agent":
-        report = run_two_agent_demo(**{k: v for k, v in raw.items() if k != "kind"})
+        report = run_two_agent_demo(**params)
         print(f"nl_exchanges: {report.nl_exchanges}")
         print(f"protocol_uses: {report.protocol_uses}")
         print(f"nl_cost_per_exchange_usd: {report.nl_cost_per_exchange:.6f}")
@@ -233,21 +207,12 @@ def cmd_run_sim(args) -> int:
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(report.__dict__, default=str, indent=2) + "\n")
+                fh.write(json.dumps(asdict(report), indent=2) + "\n")
         return EXIT_OK
 
-    if kind == "chain":
-        config = chain_config(**{k: v for k, v in raw.items() if k != "kind"})
-    else:
-        try:
-            config = ScenarioConfig.from_dict(raw)
-        except (TypeError, ValueError) as exc:
-            _err(f"bad scenario config: {exc}")
-            return EXIT_CONFIG
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     mode = args.mode or config.mode
-
     if mode == "paired":
         agora, nl_only = run_paired(config)
         _print_scenario(agora, baseline=nl_only)
@@ -256,9 +221,6 @@ def cmd_run_sim(args) -> int:
             emit_report(nl_only, os.path.join(args.out, "natural_language_only"))
         return EXIT_OK
 
-    if mode not in (MODE_AGORA, MODE_NL_ONLY):
-        _err(f"unknown mode: {mode}")
-        return EXIT_CONFIG
     result = run_scenario(replace(config, mode=mode))
     _print_scenario(result)
     if args.out:
@@ -321,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-sim", help="run a scenario file")
     p.add_argument("scenario")
-    p.add_argument("--mode", default=None,
-                   choices=[MODE_AGORA, MODE_NL_ONLY, "paired"])
+    p.add_argument("--mode", default=None, choices=[*MODES, "paired"])
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_run_sim)

@@ -19,6 +19,7 @@ is no ecosystem-wide standard for cross-document references yet.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -249,12 +250,28 @@ def document_filename(digest: str) -> str:
     return f"{normalize_hash(digest)}.pd"
 
 
+def write_file_atomically(path: str, text: str) -> None:
+    """Write *text* to *path* as UTF-8 through a temporary file beside it,
+    renamed over *path* once complete, so that a write that fails leaves
+    *path* as it was."""
+    temp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(temp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
 def save_document(doc: ProtocolDocument, directory: str) -> str:
     """Write the document as ``<hash>.pd`` under *directory*; returns the path."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, document_filename(doc.hash))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(doc.raw_text)
+    write_file_atomically(path, doc.raw_text)
     return path
 
 

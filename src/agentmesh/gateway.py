@@ -131,15 +131,16 @@ class CostLedger:
     """Append-only record of priced token usage.
 
     Appends are serialized so concurrent writers cannot lose records. The
-    total is a running sum, added to under the same lock as each append, so
-    it adds the record costs one by one in record order, as ``summarize``
-    does, and a read costs the same however long the ledger is.
+    total and each activity's total are running sums, added to under the
+    same lock as each append, so they add the record costs one by one in
+    record order, and a read costs the same however long the ledger is.
     """
 
     def __init__(self, prices: dict[str, ModelPrice] | None = None):
         self.prices = dict(DEFAULT_PRICES if prices is None else prices)
         self._records: list[LedgerRecord] = []
         self._total = 0.0
+        self._activity_totals = {activity.value: 0.0 for activity in Activity}
         self._lock = threading.Lock()
 
     def charge(self, model_id: str, usage: TokenUsage, activity: Activity) -> float:
@@ -148,9 +149,11 @@ class CostLedger:
         price = self.prices[model_id]
         cost = (usage.prompt_tokens * price.prompt_per_million
                 + usage.completion_tokens * price.completion_per_million) / 1e6
+        activity = Activity(activity)
         with self._lock:
-            self._records.append(LedgerRecord(len(self._records), model_id, usage, Activity(activity), cost))
+            self._records.append(LedgerRecord(len(self._records), model_id, usage, activity, cost))
             self._total += cost
+            self._activity_totals[activity.value] += cost
         return cost
 
     def records(self) -> list[LedgerRecord]:
@@ -166,6 +169,11 @@ class CostLedger:
         with self._lock:
             return self._total
 
+    def totals(self) -> tuple[float, dict[str, float]]:
+        """The total and a copy of the per-activity totals, read together."""
+        with self._lock:
+            return self._total, dict(self._activity_totals)
+
 
 @dataclass(frozen=True)
 class CostSummary:
@@ -176,12 +184,7 @@ class CostSummary:
 
 def summarize(ledger: CostLedger) -> CostSummary:
     """Aggregate a ledger into its total and a per-activity breakdown."""
-    activity_totals = {activity.value: 0.0 for activity in Activity}
-    total = 0.0
-    for record in ledger.records():
-        activity_totals[record.activity.value] += record.cost
-        # The same additions in the same order as the ledger's running total.
-        total += record.cost
+    total, activity_totals = ledger.totals()
     if total > 0:
         percentages = {k: 100.0 * v / total for k, v in activity_totals.items()}
     else:

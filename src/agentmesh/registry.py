@@ -71,9 +71,11 @@ class RegistryStore:
         digest = doc.hash
         with self._lock:
             if digest not in self._documents:
-                self._documents[digest] = doc
+                # On disk first: a document whose file could not be written
+                # is not kept, so a resubmission tries the write again.
                 if self.root:
                     save_document(doc, self.root)
+                self._documents[digest] = doc
         return digest
 
     def get(self, digest: str) -> ProtocolDocument | None:

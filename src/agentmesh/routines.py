@@ -26,6 +26,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .documents import write_file_atomically
+
 SENDER = "sender"
 RECEIVER = "receiver"
 SIDES = (SENDER, RECEIVER)
@@ -320,8 +322,7 @@ def routine_filename(protocol_hash: str, side: str) -> str:
 def save_routine(routine: Routine, directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, routine_filename(routine.protocol_hash, routine.side))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(routine.to_json())
+    write_file_atomically(path, routine.to_json())
     return path
 
 

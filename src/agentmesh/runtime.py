@@ -244,6 +244,11 @@ class AgentConfig:
         unknown = set(raw) - {f.name for f in fields(cls)} - {"backend"}
         if unknown:
             raise ValueError(f"unknown agent config keys: {', '.join(sorted(unknown))}")
+        for key, types in (("agent_id", str), ("model_id", str),
+                           ("registry_url", (str, type(None))), ("pd_store", (str, type(None)))):
+            if key in raw and not isinstance(raw[key], types):
+                need = "a string" if types is str else "a string or null"
+                raise ValueError(f"{key} must be {need}, not {raw[key]!r}")
         thresholds = EscalationThresholds(**raw.get("thresholds", {}))
         tools = tuple(ToolDescriptor(**t) for t in raw.get("tools", []))
         return cls(

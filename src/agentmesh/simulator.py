@@ -55,11 +55,41 @@ _KIND_MODELS = {"svc-a": "gpt-4o", "svc-b": "llama-3-405b", "svc-c": "gemini-1.5
 
 MODE_AGORA = "agora"
 MODE_NL_ONLY = "natural_language_only"
+MODES = (MODE_AGORA, MODE_NL_ONLY)
 TRANSPORTS = ("inprocess", "http")
 
-# The integer values a scenario file may set and, for a count, its least value.
-_INT_FIELDS = {"seed": None, "n_users": 1, "server_replicas": 1, "total_queries": 1,
-               "types_per_user": 1, "share_period": 0}
+# Per scenario kind, the keys of a scenario file whose values are checked
+# here: the type of each and, for a count, its least value. A demo kind takes
+# only the keys in its row; a network file takes any ScenarioConfig field.
+SCENARIO_KEYS: dict[str, dict[str, tuple[type, int | None]]] = {
+    "network": {"seed": (int, None), "n_users": (int, 1), "server_replicas": (int, 1),
+                "total_queries": (int, 1), "types_per_user": (int, 1),
+                "share_period": (int, 0)},
+    "two_agent": {"protocol_uses": (int, 0), "nl_exchanges": (int, 0),
+                  "calibrated": (bool, None)},
+    "chain": {"orders": (int, 1), "seed": (int, None)},
+}
+
+
+def check_scenario_keys(kind: str, raw: dict) -> None:
+    """Raise ValueError on an unknown *kind*, on a value in *raw* that its
+    row of SCENARIO_KEYS refuses, and, for a demo kind, on a key not in
+    that row."""
+    if not isinstance(kind, str) or kind not in SCENARIO_KEYS:
+        raise ValueError(f"unknown kind: {kind!r}")
+    row = SCENARIO_KEYS[kind]
+    unknown = sorted(set(raw) - set(row))
+    if unknown and kind != "network":
+        raise ValueError(f"unknown {kind} keys: {', '.join(unknown)}")
+    for key, (expected, least) in row.items():
+        if key not in raw:
+            continue
+        value = raw[key]
+        if type(value) is not expected or (least is not None and value < least):
+            need = "a bool" if expected is bool else "an int"
+            if least is not None:
+                need += f" >= {least}"
+            raise ValueError(f"{key} must be {need}, not {value!r}")
 
 
 # Default registry topology: a three-database chain, each peered with its
@@ -95,13 +125,9 @@ class ScenarioConfig:
         raises TypeError; a value the scenario cannot use raises ValueError."""
         raw = dict(raw)
         raw.pop("kind", None)
-        for key, least in _INT_FIELDS.items():
-            if key not in raw:
-                continue
-            value = raw[key]
-            if type(value) is not int or (least is not None and value < least):
-                need = "an int" if least is None else f"an int >= {least}"
-                raise ValueError(f"{key} must be {need}, not {value!r}")
+        check_scenario_keys("network", raw)
+        if raw.get("mode", MODE_AGORA) not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, not {raw['mode']!r}")
         if raw.get("transport", "inprocess") not in TRANSPORTS:
             raise ValueError(f"transport must be one of {', '.join(TRANSPORTS)}, "
                              f"not {raw['transport']!r}")
@@ -559,11 +585,15 @@ def emit_report(result: ScenarioResult, out_dir: str,
 
 # ── scenario files ───────────────────────────────────────────────────
 
-def load_scenario_file(path: str) -> dict:
-    """Read a scenario config file; returns the raw dict (the `kind` key
-    selects between network scenarios, the two-agent demo, and the chain)."""
+def load_scenario_file(path: str) -> tuple[str, dict]:
+    """Read a scenario file: its `kind` (``network`` when absent) and its
+    other keys, checked unless the kind is ``network``, whose keys
+    ``ScenarioConfig.from_dict`` checks. Raises OSError or ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("scenario file must contain a JSON object")
-    return raw
+    kind = raw.pop("kind", "network")
+    if kind != "network":
+        check_scenario_keys(kind, raw)
+    return kind, raw

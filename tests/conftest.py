@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
+
 import pytest
 
-from agentmesh import catalog
+from agentmesh import catalog, documents
 from agentmesh.gateway import CostLedger, ModelPrice
 from agentmesh.registry import RegistryStore
 from agentmesh.runtime import Agent, AgentConfig, EscalationThresholds, ToolDescriptor
@@ -13,6 +15,23 @@ from agentmesh.transport import Network
 
 WEATHER_TEXT = catalog.WEATHER_PD_TEXT
 FLAT_PRICES = {"gpt-4o": ModelPrice(5.0, 15.0)}
+
+
+@pytest.fixture
+def write_fails_halfway(monkeypatch):
+    """Files the document store opens take half of the first text written
+    to them and then fail, as on a disk that fills up mid-write."""
+    def open_failing(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def write_half(text):
+            write(text[:len(text) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fh.write = write_half
+        return fh
+    monkeypatch.setattr(documents, "open", open_failing, raising=False)
 
 
 @pytest.fixture

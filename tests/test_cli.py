@@ -127,6 +127,30 @@ class TestRunSim:
         assert code == 0
         assert "break_even_protocol_uses: 3" in out
 
+    def test_two_agent_out_writes_json_summary(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli("run-sim", os.path.join(CONFIGS, "two_agent.json"),
+                             "--out", str(out_dir), capsys=capsys)
+        assert code == 0
+        summary = json.loads((out_dir / "summary.txt").read_text(encoding="utf-8"))
+        assert summary["break_even_uses"] == 3
+        assert summary["summary"]["total"] == summary["total_cost"]
+
+    def test_paired_out_writes_both_modes(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"kind": "network", "name": "t", "seed": 3,
+                                        "n_users": 4, "total_queries": 30}))
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli("run-sim", str(scenario), "--mode", "paired",
+                             "--out", str(out_dir), capsys=capsys)
+        assert code == 0
+        for mode in ("agora", "natural_language_only"):
+            assert (out_dir / mode / "metrics.csv").exists(), mode
+        assert "mode: natural_language_only" in \
+            (out_dir / "natural_language_only" / "summary.txt").read_text()
+        assert "cost_ratio_baseline_over_this:" in \
+            (out_dir / "agora" / "summary.txt").read_text()
+
     def test_missing_scenario_exit_2(self, capsys):
         code, _, err = run_cli("run-sim", "no-such-file.json", capsys=capsys)
         assert code == 2
@@ -208,6 +232,7 @@ class TestRunSim:
                     {"kind": "two_agent", "calibrated": "no"},
                     {"kind": "two_agent", "seed": 3},
                     {"kind": "chian"},
+                    {"kind": ["network"]},
                     {"kind": "network", "n_users": "four"},
                     {"kind": "network", "total_queries": -1},
                     {"kind": "network", "server_replicas": 0},
@@ -221,7 +246,9 @@ class TestRunSim:
                     {"kind": "network", "registry_peers": ["db1"]},
                     {"kind": "network", "registry_peers": {}},
                     {"kind": "network", "thresholds": {"server_negotiate_after": "x"}},
-                    {"kind": "network", "prices": {"gpt-4o": {"prompt_per_million": 1.0}}}):
+                    {"kind": "network", "prices": {"gpt-4o": {"prompt_per_million": 1.0}}},
+                    {"kind": "network", "mode": "bogus"},
+                    {"kind": "network", "mode": "paired"}):
             scenario.write_text(json.dumps(raw))
             code, _, err = run_cli("run-sim", str(scenario), capsys=capsys)
             assert code == 2, raw
@@ -258,6 +285,10 @@ class TestServeCommands:
             ("tools", [ghost_tool], "ghost"),                               # unknown peer
             ("tools", [{"name": "barometer", "kind": "database"}], "barometer"),
             ("pd_store", str(not_a_dir), "not-a-dir"),
+            ("registry_url", 5, "registry_url"),
+            ("pd_store", ["store"], "pd_store"),
+            ("agent_id", 7, "agent_id"),
+            ("model_id", "gpt-5-unpriced", "gpt-5-unpriced"),
         )
         monkeypatch.setattr(HostServer, "serve_forever",
                             lambda self: pytest.fail("served a bad config"))

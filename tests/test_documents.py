@@ -1,5 +1,6 @@
 """Document hashing, parsing, verification, and the file store."""
 
+import os
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from agentmesh.documents import (DocumentError, ParseError, ProtocolMetadata,
                                  ProtocolReference, TamperError, compute_hash,
                                  extract_worked_example, is_valid_hash,
                                  load_document, normalize_hash, parse_document,
-                                 render_document, save_document, verify_document)
+                                 render_document, save_document, verify_document,
+                                 write_file_atomically)
 from conftest import WEATHER_TEXT
 
 # Reference digests from the standard SHA1 test vectors.
@@ -206,6 +208,14 @@ class TestFileStore:
         path = save_document(doc, str(tmp_path))
         assert path.endswith(f"{doc.hash}.pd")
         assert load_document(path).raw_text == WEATHER_TEXT
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, write_fails_halfway):
+        path = tmp_path / "note.txt"
+        path.write_text("before", encoding="utf-8")
+        with pytest.raises(OSError, match="No space"):
+            write_file_atomically(str(path), "after, at greater length")
+        assert os.listdir(tmp_path) == ["note.txt"]
+        assert path.read_text(encoding="utf-8") == "before"
 
     def test_load_detects_corruption(self, tmp_path):
         doc = parse_document(WEATHER_TEXT)

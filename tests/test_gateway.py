@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import sys
 import threading
 
 import pytest
@@ -65,6 +66,14 @@ def added_in_record_order(ledger: CostLedger) -> float:
     return functools.reduce(operator.add, (r.cost for r in ledger.records()), 0.0)
 
 
+def activity_sums_in_record_order(ledger: CostLedger) -> dict[str, float]:
+    """Each activity's record costs added left to right in record order."""
+    sums = {activity.value: 0.0 for activity in Activity}
+    for record in ledger.records():
+        sums[record.activity.value] += record.cost
+    return sums
+
+
 class TestLedger:
     def test_total_is_sum_of_records(self):
         ledger = CostLedger()
@@ -80,6 +89,7 @@ class TestLedger:
                           list(Activity)[i % len(Activity)])
         assert ledger.total == added_in_record_order(ledger)
         assert summarize(ledger).total == ledger.total
+        assert summarize(ledger).activity_totals == activity_sums_in_record_order(ledger)
 
     def test_append_only_indexing(self):
         ledger = CostLedger()
@@ -90,19 +100,27 @@ class TestLedger:
     def test_concurrent_appends_lose_nothing(self):
         ledger = CostLedger()
 
-        def worker():
-            for _ in range(200):
-                ledger.charge("gpt-4o", TokenUsage(100, 100), Activity.NATURAL_LANGUAGE)
+        def worker(activity):
+            for i in range(200):
+                ledger.charge("gpt-4o", TokenUsage(100 + i, 100), activity)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=worker, args=(list(Activity)[k % len(Activity)],))
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert len(ledger) == 1600
         assert sorted(r.index for r in ledger.records()) == list(range(1600))
         assert ledger.total == added_in_record_order(ledger)
         assert summarize(ledger).total == ledger.total
+        assert summarize(ledger).activity_totals == activity_sums_in_record_order(ledger)
 
 
 class TestSummarize:

@@ -237,6 +237,34 @@ class TestDiskStore:
         again = RegistryStore("db1", network, root=root)
         assert again.get(WEATHER_HASH).raw_text == WEATHER_TEXT
 
+    def test_document_whose_file_fails_is_not_kept(self, tmp_path, network):
+        root = tmp_path / "db"
+        store = RegistryStore("db1", network, root=str(root))
+        network.register("db1", store)
+        client = RegistryClient(network, "mem://db1")
+        # A file where the root directory was: no one can write under it.
+        root.rmdir()
+        root.write_text("")
+        with pytest.raises(StatusError, match="500"):
+            client.submit(WEATHER_TEXT)
+        assert store.get(WEATHER_HASH) is None and len(store) == 0
+        root.unlink()
+        root.mkdir()
+        assert client.submit(WEATHER_TEXT) == WEATHER_HASH
+        assert RegistryStore("db1", network, root=str(root)).get(WEATHER_HASH) is not None
+
+    def test_write_faulted_halfway_leaves_no_file(self, tmp_path, network,
+                                                  monkeypatch, write_fails_halfway):
+        root = str(tmp_path / "db")
+        store = RegistryStore("db1", network, root=root)
+        with pytest.raises(OSError, match="No space"):
+            store.submit(WEATHER_TEXT)
+        assert os.listdir(root) == []
+        monkeypatch.undo()
+        assert len(RegistryStore("db1", network, root=root)) == 0
+        store.submit(WEATHER_TEXT)
+        assert RegistryStore("db1", network, root=root).get(WEATHER_HASH) is not None
+
     def test_load_time_integrity_check_passes_clean(self, tmp_path, network):
         root = str(tmp_path / "db")
         RegistryStore("db1", network, root=root).submit(WEATHER_TEXT)

@@ -166,6 +166,12 @@ class TestScenarioConfigFile:
         result = run_scenario(config)
         assert len(result.records) == 40
 
+    def test_from_dict_refuses_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ScenarioConfig.from_dict({"mode": "bogus"})
+        assert ScenarioConfig.from_dict({"mode": "natural_language_only"}).mode == \
+            "natural_language_only"
+
     def test_price_table_scales_costs(self):
         base = ScenarioConfig(name="p", seed=3, n_users=4, total_queries=30)
         cheap = run_scenario(base)
