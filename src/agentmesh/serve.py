@@ -1,14 +1,31 @@
 """HTTP hosting for agents and registries.
 
-Wraps any wire host (``handle_request``) in a threading HTTP server so the
-same objects that back the in-process transport can be exposed on a real
-socket: POST / for envelopes, GET /.wellknown for discovery, and the
-registry's /pd and /share endpoints.
+Wraps any wire host (``handle_request``) in a threading TCP server that
+speaks HTTP/1.1 through the transport's message codec, so the same objects
+that back the in-process transport can be exposed on a real socket: POST /
+for envelopes, GET /.wellknown for discovery, and the registry's /pd and
+/share endpoints.
 
-Connections are kept open between requests (HTTP/1.1); one that stays
-silent for ``IDLE_TIMEOUT_S`` is closed, which frees its handler thread. A
-request body larger than ``MAX_BODY_BYTES`` is refused with 413 before it is
-read. An answer to a client that has already left is dropped without a word.
+Connections are kept open between requests (HTTP/1.1; an HTTP/1.0 request
+only with ``Connection: keep-alive``); one that stays silent for
+``IDLE_TIMEOUT_S`` is closed, which frees its handler thread. A request body
+is framed by ``Content-Length`` alone (RFC 9112 §6.3). A request that the
+server refuses never reaches the host: it gets an error answer and its
+connection is closed, since the rest of the stream cannot be trusted to
+start a request.
+
+- 413: ``Content-Length`` above ``MAX_BODY_BYTES``; the body is not read.
+- 400: a ``Content-Length`` that is not one number (two different values
+  included), a body that ends before it, a body that is not UTF-8,
+  ``Transfer-Encoding`` beside ``Content-Length``, a malformed head.
+- 501: ``Transfer-Encoding`` alone, and any method but GET and POST.
+- 414 and 431: a start line, or a header line, over ``transport.MAX_LINE``
+  bytes; 431 also for more than ``transport.MAX_FIELDS`` fields.
+- 505: an HTTP version other than 1.0 and 1.1.
+
+``Expect: 100-continue`` gets ``100 Continue`` before the body is read. Each
+answer goes out in one write and carries ``Date``. An answer to a client
+that has already left is dropped without a word.
 
 The accept loop blocks on the listening socket and on a wake-up socket pair
 that the server owns, so ``shutdown`` stops it at once rather than at the
@@ -19,11 +36,16 @@ from __future__ import annotations
 
 import selectors
 import socket
+import socketserver
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 from urllib.parse import parse_qsl, urlsplit
 
-from .transport import PLAIN_TEXT, SENDER_HEADER, WireHost
+from .transport import (PLAIN_TEXT, SENDER_HEADER, WireHost, _content_length, _Malformed,
+                        _message, _read_exactly, _read_head, _tokens)
 
 # Far above any envelope or protocol document the simulated workloads send
 # (the largest is under 2 KB).
@@ -33,17 +55,14 @@ MAX_BODY_BYTES = 1 << 20
 # client seldom sends on a connection the server is just closing.
 IDLE_TIMEOUT_S = 60.0
 
-
-class _BodyTooLarge(ValueError):
-    pass
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def _make_handler(host: WireHost, quiet: bool):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # Headers and body go out in separate writes; without this, Nagle's
-        # algorithm holds the body back until the client's delayed ACK of
-        # the headers, which stalls every request on a kept-alive connection.
+    class Handler(socketserver.StreamRequestHandler):
+        # An answer is one write, but Nagle's algorithm would still hold it
+        # back while the client has not acknowledged the connection's last
+        # segment, which its delayed ACK can put off for up to 40 ms.
         disable_nagle_algorithm = True
         timeout = IDLE_TIMEOUT_S
 
@@ -55,23 +74,71 @@ def _make_handler(host: WireHost, quiet: bool):
             self.server.connections.discard(self.connection)
             super().finish()
 
+        def handle(self):
+            try:
+                while self._handle_one():
+                    pass
+            except OSError:
+                # The connection timed out in silence, or the client left,
+                # perhaps before its answer: the connection is closed.
+                pass
+
+        def _handle_one(self) -> bool:
+            """Read one request and answer it; False when the connection is
+            to be closed."""
+            self.requestline = self.command = ""
+            try:
+                head = _read_head(self.rfile)
+                if head is None:  # the client closed the connection
+                    return False
+                self.requestline, self.headers = head
+                method, self.path = self._check_request_line()
+            except _Malformed as exc:
+                self.close_connection = True
+                self._answer(exc.status, PLAIN_TEXT, f"bad request: {exc}")
+                return False
+            self._serve(method)
+            return not self.close_connection
+
+        def _check_request_line(self) -> tuple[str, str]:
+            """The method and the target; sets ``command``,
+            ``request_version`` and ``close_connection``."""
+            words = self.requestline.split(" ")
+            if len(words) != 3:
+                raise _Malformed(400, f"malformed request line {self.requestline[:80]!r}")
+            method, target, self.request_version = words
+            self.command = method
+            connection = _tokens(self.headers.get("Connection"))
+            self.close_connection = "close" in connection or (
+                self.request_version == "HTTP/1.0" and "keep-alive" not in connection)
+            if self.request_version not in ("HTTP/1.0", "HTTP/1.1"):
+                raise _Malformed(505 if self.request_version.startswith("HTTP/") else 400,
+                                 f"unsupported version {self.request_version!r}")
+            if method not in ("GET", "POST"):
+                raise _Malformed(501, f"unsupported method {method!r}")
+            return method, target
+
         def _read_body(self) -> str:
-            length = self.headers.get("Content-Length") or "0"
-            if not (length.isascii() and length.isdigit()):
-                raise ValueError(f"bad Content-Length: {length!r}")
-            if int(length) > MAX_BODY_BYTES:
-                raise _BodyTooLarge(f"Content-Length {length} exceeds {MAX_BODY_BYTES}")
-            return self.rfile.read(int(length)).decode("utf-8")
+            fields = self.headers
+            length = _content_length(fields) or 0
+            if "transfer-encoding" in fields:
+                raise _Malformed(501, "Transfer-Encoding is not supported")
+            if length > MAX_BODY_BYTES:
+                raise _Malformed(413, f"Content-Length {length} exceeds {MAX_BODY_BYTES}")
+            if (length and self.request_version == "HTTP/1.1"
+                    and _tokens(fields.get("Expect")) == ["100-continue"]):
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            return _read_exactly(self.rfile, length).decode("utf-8")
 
         def _serve(self, method: str) -> None:
             parts = urlsplit(self.path)
             sender = self.headers.get(SENDER_HEADER)
             try:
                 body = self._read_body()
-            except ValueError as exc:  # also UnicodeDecodeError
+            except ValueError as exc:  # _Malformed, and UnicodeDecodeError
                 # The rest of the stream cannot be trusted to start a request.
                 self.close_connection = True
-                status = 413 if isinstance(exc, _BodyTooLarge) else 400
+                status = exc.status if isinstance(exc, _Malformed) else 400
                 ctype, text = PLAIN_TEXT, f"bad request body: {exc}"
             else:
                 try:
@@ -79,30 +146,29 @@ def _make_handler(host: WireHost, quiet: bool):
                         method, parts.path, dict(parse_qsl(parts.query)), body, sender)
                 except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the socket
                     status, ctype, text = 500, PLAIN_TEXT, f"internal error: {exc}"
+            self._answer(status, ctype, text)
+
+        def _answer(self, status: int, ctype: str, text: str) -> None:
+            if not quiet:  # logged before the answer leaves, as http.server does
+                sys.stderr.write(f"{self.client_address[0]} - - "
+                                 f"[{time.strftime('%d/%b/%Y %H:%M:%S')}] "
+                                 f'"{self.requestline}" {status} -\n')
             payload = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", ctype)
-            self.send_header("Content-Length", str(len(payload)))
+            fields = {"Date": formatdate(usegmt=True), "Content-Type": ctype,
+                      "Content-Length": str(len(payload))}
             if self.close_connection:
-                self.send_header("Connection", "close")
-            try:
-                self.end_headers()
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                # The client left before its answer: the connection is closed.
-                self.close_connection = True
-
-        def do_GET(self):
-            self._serve("GET")
-
-        def do_POST(self):
-            self._serve("POST")
-
-        def log_message(self, fmt, *args):
-            if not quiet:
-                super().log_message(fmt, *args)
+                fields["Connection"] = "close"
+            if self.command == "HEAD":  # an answer to HEAD has no body (RFC 9110 §9.3.2)
+                payload = b""
+            self.wfile.write(_message(f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+                                      fields, payload))
 
     return Handler
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True  # a restarted server takes its port back at once
+    daemon_threads = True
 
 
 class HostServer:
@@ -110,26 +176,26 @@ class HostServer:
 
     def __init__(self, host: WireHost, port: int = 0, bind: str = "127.0.0.1",
                  quiet: bool = True):
-        self._httpd = ThreadingHTTPServer((bind, port), _make_handler(host, quiet))
+        self._server = _Server((bind, port), _make_handler(host, quiet))
         # The handlers' sockets, so that shutdown can end the kept-alive ones.
-        self._httpd.connections = set()
+        self._server.connections = set()
         # shutdown writes a byte to the one end; the accept loop wakes on the other.
         self._wake_reader, self._wake_writer = socket.socketpair()
         self._thread: threading.Thread | None = None
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self._server.server_address[1]
 
     @property
     def url(self) -> str:
-        address, port = self._httpd.server_address[:2]
+        address, port = self._server.server_address[:2]
         return f"http://{address}:{port}"
 
     def serve_forever(self) -> None:
         """Accept connections until ``shutdown`` is called."""
         with selectors.DefaultSelector() as selector:
-            selector.register(self._httpd.socket, selectors.EVENT_READ)
+            selector.register(self._server.socket, selectors.EVENT_READ)
             selector.register(self._wake_reader, selectors.EVENT_READ)
             while True:
                 ready = {key.fileobj for key, _ in selector.select()}
@@ -138,7 +204,7 @@ class HostServer:
                 # The listener is readable and the server has no timeout,
                 # so this accepts at once and hands the connection to a
                 # handler thread.
-                self._httpd.handle_request()
+                self._server.handle_request()
 
     def start_background(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -155,11 +221,11 @@ class HostServer:
             return
         if self._thread is not None:
             self._thread.join(timeout=5)
-        for connection in list(self._httpd.connections):
+        for connection in list(self._server.connections):
             try:
                 connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass  # its handler has closed it already
-        self._httpd.server_close()
+        self._server.server_close()
         self._wake_reader.close()
         self._wake_writer.close()

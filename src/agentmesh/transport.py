@@ -8,14 +8,13 @@ URLs, the deterministic default for simulations) or over real HTTP(S).
 returns the text of a 200 answer and raises ``StatusError`` on any other.
 A host that raises is answered with 500 on both transports.
 
-HTTP(S) goes through ``HttpClient``, a small client on the standard
-library's ``http.client``. It keeps a lock-guarded list of idle connections
-per origin (``scheme://host:port``), shared by every thread that uses it,
-and never holds more idle connections than the peak number of requests in
-flight to that origin. A pooled connection whose socket is readable has
-been closed by its peer (after its idle timeout, or a restart) and is
-discarded before anything is sent on it. The TCP connect is a step of its
-own: only its failure (refused, timed out, unreachable or unresolvable,
+HTTP(S) goes through ``HttpClient``. It keeps a lock-guarded list of idle
+connections per origin (``scheme://host:port``), shared by every thread
+that uses it, and never holds more idle connections than the peak number of
+requests in flight to that origin. A pooled connection whose socket is
+readable has been closed by its peer (after its idle timeout, or a restart)
+and is discarded before anything is sent on it. The TCP connect is a step of
+its own: only its failure (refused, timed out, unreachable or unresolvable,
 also when connecting to a proxy) raises ``ConnectError``, and only then is a
 request made again. Once a request's bytes went out it is never resent
 (RFC 9110 §9.2.2); a read timeout or a dropped connection raises
@@ -24,6 +23,13 @@ in both directions. Proxies, the CA file and netrc credentials come from
 the environment, read once per origin (``HttpClient._route``). No cookie is
 kept and no redirect is followed.
 
+The client and ``serve.HostServer`` share one HTTP/1.1 message codec (RFC
+9112): ``_read_head`` reads a start line and its header fields with the
+limits of ``http.client`` (lines of at most ``MAX_LINE`` bytes, at most
+``MAX_FIELDS`` fields), and ``_message`` builds a head and its body into the
+one buffer that goes out in one ``sendall``. ``http.client``'s connections
+only connect: the TCP connect, the proxy's ``CONNECT`` tunnel and TLS.
+
 Deployments use HTTPS; plain HTTP and the mem scheme exist for tests and
 simulation.
 """
@@ -31,12 +37,13 @@ simulation.
 from __future__ import annotations
 
 import os
+import re
 import select
 import socket
 import threading
 import time
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Callable, NamedTuple, Protocol
+from typing import BinaryIO, Callable, NamedTuple, Protocol
 from urllib.parse import SplitResult, parse_qsl, urlsplit
 
 SENDER_HEADER = "X-Sender-Id"
@@ -45,6 +52,9 @@ PLAIN_TEXT = "text/plain; charset=utf-8"
 ATTEMPTS = 3
 BACKOFF_S = 0.1
 TIMEOUT_S = 30.0
+# http.client's limits on a head: the longest line and the most fields.
+MAX_LINE = 65536
+MAX_FIELDS = 100
 
 
 class TransportError(Exception):
@@ -79,12 +89,157 @@ def _dropped(sock: socket.socket) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+# ── HTTP/1.1 messages ────────────────────────────────────────────────
+
+class _Malformed(ValueError):
+    """A message that breaks HTTP/1.1 framing or this codec's limits;
+    *status* is what a server answers to such a request."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.status = status
+
+
+class _Fields(dict):
+    """A head's fields by lower-cased name. A repeated field's values are
+    joined with ", " (RFC 9110 §5.3), so two different Content-Lengths read
+    as one that is not a number."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+def _read_line(rfile: BinaryIO, status: int, what: str) -> bytes:
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise _Malformed(status, f"{what} longer than {MAX_LINE} bytes")
+    return line
+
+
+def _read_fields(rfile: BinaryIO) -> _Fields:
+    """The header (or trailer) fields up to the blank line that ends them."""
+    fields = _Fields()
+    for _ in range(MAX_FIELDS + 1):
+        line = _read_line(rfile, 431, "a header line")
+        if line in (b"\r\n", b"\n"):
+            return fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        # No whitespace before the colon, and no obsolete line folding
+        # (RFC 9112 §5.1, §5.2); EOF before the blank line ends up here too.
+        if not colon or not name or name != name.strip():
+            raise _Malformed(400, f"malformed header line {line[:80]!r}")
+        name, value = name.lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise _Malformed(431, f"more than {MAX_FIELDS} header fields")
+
+
+def _read_head(rfile: BinaryIO) -> tuple[str, _Fields] | None:
+    """The next message's start line and fields; None at EOF before it."""
+    line = _read_line(rfile, 414, "the start line")
+    if not line:
+        return None
+    return line.decode("latin-1").rstrip("\r\n"), _read_fields(rfile)
+
+
+def _tokens(value: str | None) -> list[str]:
+    """The lower-cased items of a comma-separated field value."""
+    return [item.strip().lower() for item in value.split(",")] if value else []
+
+
+def _content_length(fields: _Fields) -> int | None:
+    """The body's length by ``Content-Length``, None without one. A message
+    that also has ``Transfer-Encoding`` is refused (RFC 9112 §6.3)."""
+    length = fields.get("content-length")
+    if length is None:
+        return None
+    if "transfer-encoding" in fields:
+        raise _Malformed(400, "both Transfer-Encoding and Content-Length")
+    if not (length.isascii() and length.isdigit()):
+        raise _Malformed(400, f"bad Content-Length: {length!r}")
+    return int(length)
+
+
+def _read_exactly(rfile: BinaryIO, size: int) -> bytes:
+    """*size* bytes, read at most a MiB at a time, so that a huge announced
+    size takes no memory before its bytes arrive."""
+    pieces, left = [], size
+    while left and (piece := rfile.read(min(left, 1 << 20))):
+        pieces.append(piece)
+        left -= len(piece)
+    if left:
+        raise _Malformed(400, f"the body ends after {size - left} of {size} bytes")
+    return b"".join(pieces)
+
+
+def _read_chunked(rfile: BinaryIO) -> bytes:
+    """A chunked body (RFC 9112 §7.1), its trailer fields read and dropped."""
+    chunks = []
+    while True:
+        size = _read_line(rfile, 400, "a chunk size line").split(b";", 1)[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
+            raise _Malformed(400, f"bad chunk size {size[:20]!r}")
+        if not int(size, 16):
+            _read_fields(rfile)
+            return b"".join(chunks)
+        chunks.append(_read_exactly(rfile, int(size, 16)))
+        if rfile.readline(3) not in (b"\r\n", b"\n"):
+            raise _Malformed(400, "a chunk does not end with CRLF")
+
+
+def _read_answer(rfile: BinaryIO, method: str) -> tuple[int, bytes, bool]:
+    """Read one answer (RFC 9112 §6.3): its status, its body and whether its
+    connection may carry another request. Interim 1xx answers are skipped."""
+    status = 100
+    while 100 <= status < 200:
+        head = _read_head(rfile)
+        if head is None:
+            raise ConnectionError("the connection closed before the answer")
+        line, fields = head
+        version, _, rest = line.partition(" ")
+        if not (version.startswith("HTTP/") and rest[:3].isdigit() and rest[3:4] in ("", " ")):
+            raise _Malformed(400, f"malformed status line {line[:80]!r}")
+        status = int(rest[:3])
+    keep = version == "HTTP/1.1" and "close" not in _tokens(fields.get("connection"))
+    if method == "HEAD" or status in (204, 304):
+        return status, b"", keep
+    length = _content_length(fields)
+    if length is not None:
+        return status, _read_exactly(rfile, length), keep
+    if _tokens(fields.get("transfer-encoding"))[-1:] == ["chunked"]:
+        return status, _read_chunked(rfile), keep
+    return status, rfile.read(), False  # the body runs to the end of the connection
+
+
+def _message(start: str, fields: dict[str, str], body: bytes) -> bytes:
+    """One message, head and body, as the one buffer to send."""
+    lines = [start, *(f"{name}: {value}" for name, value in fields.items())]
+    if any("\r" in line or "\n" in line for line in lines):
+        raise ValueError(f"a line break inside an HTTP head line: {lines!r}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+class _Conn(NamedTuple):
+    """An open connection and the buffered reader of its answers."""
+
+    sock: socket.socket
+    rfile: BinaryIO
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
 class _Route(NamedTuple):
     """How requests to one origin travel."""
 
-    connection: Callable[[], HTTPConnection]  # a new, unconnected connection
+    connect: Callable[[float], _Conn]  # a new connection, with this timeout
+    host: str  # the Host field: hostname[:port], the port left out when it is the default
     absolute_target: bool  # plain HTTP through a proxy: the target is the whole URL
     headers: dict[str, str]  # sent with every request: credentials for the peer or the proxy
+
+
+# Characters a request target cannot hold (http.client refuses them too).
+_UNSAFE_TARGET = re.compile("[\x00-\x20\x7f]")
 
 
 class HttpClient:
@@ -93,7 +248,7 @@ class HttpClient:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._idle: dict[str, list[HTTPConnection]] = {}
+        self._idle: dict[str, list[_Conn]] = {}
         self._routes: dict[str, _Route] = {}
 
     def send(self, method: str, parts: SplitResult, body: bytes,
@@ -105,34 +260,36 @@ class HttpClient:
         conn = None
         try:
             route = self._route(origin, parts)
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+            if _UNSAFE_TARGET.search(target):
+                raise ValueError(f"a control character or space in the target {target!r}")
+            if route.absolute_target:
+                target = f"{parts.scheme}://{route.host}{target}"
+            request = _message(f"{method} {target} HTTP/1.1", {
+                "Host": route.host, "Accept-Encoding": "identity", **route.headers, **headers,
+                "Content-Length": str(len(body))}, body)
             conn = self._checkout(origin)
             if conn is None:
-                conn = route.connection()
-                conn.timeout = timeout
-                conn.connect()
+                conn = route.connect(timeout)
             else:
                 conn.sock.settimeout(timeout)
-            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-            if route.absolute_target:
-                target = origin + target
-            conn.request(method, target, body, {**route.headers, **headers})
-            resp = conn.getresponse()
-            data = resp.read()
+            conn.sock.sendall(request)
+            status, data, keep = _read_answer(conn.rfile, method)
         except (OSError, HTTPException, ValueError) as exc:
             if conn is not None:
                 conn.close()
             raise TransportError(f"{method} {parts.geturl()} failed: {exc!r}") from exc
-        if resp.will_close:
-            conn.close()
-        else:
+        if keep:
             with self._lock:
                 self._idle.setdefault(origin, []).append(conn)
+        else:
+            conn.close()
         try:
-            return resp.status, data.decode("utf-8")
+            return status, data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TransportError(f"{method} {parts.geturl()}: the answer is not UTF-8") from exc
 
-    def _checkout(self, origin: str) -> HTTPConnection | None:
+    def _checkout(self, origin: str) -> _Conn | None:
         """The most recently used idle connection to *origin* that its peer
         has not closed, or None."""
         with self._lock:
@@ -178,24 +335,31 @@ class HttpClient:
 def _read_route(parts: SplitResult) -> _Route:
     import urllib.request
 
+    https = parts.scheme == "https"
+    default_port = 443 if https else 80
+    hostname, port = parts.hostname or "", parts.port or default_port
+    if not hostname.isascii():
+        hostname = hostname.encode("idna").decode("ascii")
+    host = f"[{hostname}]" if ":" in hostname else hostname  # an IPv6 literal
+    if port != default_port:
+        host += f":{port}"
     proxies = urllib.request.getproxies_environment()
     proxy = proxies.get(parts.scheme) or proxies.get("all")
-    if proxy and urllib.request.proxy_bypass_environment(parts.netloc, proxies):
+    if proxy and urllib.request.proxy_bypass_environment(host, proxies):
         proxy = None
     proxy_headers = {}
     if proxy:
         proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        host, port = proxy_parts.hostname, proxy_parts.port or 80
+        address = proxy_parts.hostname, proxy_parts.port or 80
         if proxy_parts.username is not None:
             proxy_headers["Proxy-Authorization"] = _basic_auth(
                 proxy_parts.username, proxy_parts.password or "")
     else:
-        host, port = parts.netloc, None  # http.client reads the port from the netloc
+        address = hostname, port
     headers = {}
     credentials = _netrc_credentials(parts.hostname or "")
     if credentials is not None:
         headers["Authorization"] = _basic_auth(*credentials)
-    https = parts.scheme == "https"
     if https:
         import ssl
 
@@ -204,17 +368,18 @@ def _read_route(parts: SplitResult) -> _Route:
     else:
         headers.update(proxy_headers)  # a plain-HTTP proxy reads them from each request
 
-    def connection() -> HTTPConnection:
+    def connect(timeout: float) -> _Conn:
         if https:
-            conn = HTTPSConnection(host, port, context=context)
+            conn = HTTPSConnection(*address, timeout=timeout, context=context)
             if proxy:
-                conn.set_tunnel(parts.netloc, headers=proxy_headers)
+                conn.set_tunnel(hostname, port, headers=proxy_headers)
         else:
-            conn = HTTPConnection(host, port)
+            conn = HTTPConnection(*address, timeout=timeout)
         conn._create_connection = _connect_tcp
-        return conn
+        conn.connect()
+        return _Conn(conn.sock, conn.sock.makefile("rb"))
 
-    return _Route(connection, bool(proxy) and not https, headers)
+    return _Route(connect, host, bool(proxy) and not https, headers)
 
 
 def _netrc_credentials(host: str) -> tuple[str, str] | None:

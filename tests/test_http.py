@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import re
 import socket
 import struct
 import subprocess
@@ -11,6 +12,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -172,6 +174,94 @@ class TestMalformedRequests:
         assert reply.startswith(b"HTTP/1.1 413 "), reply
         assert b"Connection: close" in reply
         assert requests.get(server.url + "/pd", timeout=10).status_code == 200
+
+    @pytest.mark.parametrize("fields, body, statuses", [
+        ("Transfer-Encoding: chunked", b"4\r\nabcd\r\n0\r\n\r\n", (400, 501)),
+        ("Content-Length: 4\r\nContent-Length: 9", b"abcdGET /x HTTP/1.1\r\n\r\n", (400,)),
+        ("Content-Length: 5\r\nTransfer-Encoding: chunked", b"0\r\n\r\n", (400,)),
+        ("Content-Length: 10", b"abc", (400,)),  # then the client half-closes
+    ], ids=["chunked", "two-lengths", "length-and-chunked", "short-body"])
+    def test_body_without_sound_framing_never_reaches_the_host(self, echo_server, fields,
+                                                                body, statuses):
+        """One error answer, the connection closed, and no request for the
+        host: not the body as framed one way, nor a request smuggled in it."""
+        server, host = echo_server
+        head = f"POST /pd HTTP/1.1\r\nHost: 127.0.0.1\r\n{fields}\r\n"
+        reply = self._raw_request(server.port, head, body)
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        assert int(reply[9:12]) in statuses, reply
+        assert b"Connection: close" in reply
+        assert host.bodies == []
+
+    def test_too_many_header_fields_get_431(self, echo_server):
+        server, host = echo_server
+        fields = "\r\n".join(f"X-Field-{n}: {n}" for n in range(101))
+        reply = self._raw_request(server.port, f"GET /pd HTTP/1.1\r\n{fields}")
+        assert reply.startswith(b"HTTP/1.1 431 "), reply
+        assert host.bodies == []
+
+    def test_request_line_over_64_kib_gets_414(self, echo_server):
+        server, host = echo_server
+        # With its CRLF the line is 65537 bytes, all of which the server reads.
+        reply = self._raw_request(server.port, "GET /" + "a" * 65530)
+        assert reply.startswith(b"HTTP/1.1 414 "), reply
+        assert host.bodies == []
+
+    @pytest.mark.parametrize("method", ["PUT", "HEAD"])
+    def test_other_methods_get_501(self, echo_server, method):
+        server, host = echo_server
+        reply = self._raw_request(server.port, f"{method} /pd HTTP/1.1\r\nHost: 127.0.0.1\r\n")
+        assert reply.startswith(b"HTTP/1.1 501 "), reply
+        assert host.bodies == []
+
+    def test_http_1_0_connection_is_closed_after_its_answer(self, echo_server):
+        server, _ = echo_server
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(b"GET /pd HTTP/1.0\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):  # a connection left open times out here
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 "), reply
+        assert b"Connection: close" in reply
+
+    def test_expect_100_continue_is_answered_before_the_body(self, echo_server):
+        server, host = echo_server
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(b"POST /pd HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 4\r\n"
+                         b"Expect: 100-continue\r\n\r\n")
+            interim = b""
+            while b"\r\n\r\n" not in interim and (chunk := sock.recv(4096)):
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(b"text")
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 "), reply
+        assert reply.endswith(b"\r\n\r\ntext")
+        assert host.bodies == ["text"]
+
+    def test_every_answer_carries_a_date(self, echo_server):
+        server, _ = echo_server
+        for head in ("GET /pd HTTP/1.1\r\nConnection: close\r\n",
+                     "GET /pd HTTP/1.1\r\nContent-Length: x\r\n"):
+            reply = self._raw_request(server.port, head)
+            assert b"\r\nDate: " in reply.partition(b"\r\n\r\n")[0], reply
+
+
+def test_serving_loudly_logs_each_request(capfd):
+    """``serve-agent`` and ``serve-registry`` log one line per request."""
+    server = HostServer(_Fixed("up"), quiet=False)
+    server.start_background()
+    network = Network()
+    try:
+        assert network.request("GET", server.url + "/x?q=1") == (200, "up")
+    finally:
+        network.close()
+        server.shutdown()
+    assert re.search(r'^127\.0\.0\.1 - - \[.+\] "GET /x\?q=1 HTTP/1\.1" 200 ',
+                     capfd.readouterr().err, re.MULTILINE)
 
 
 def _closed_port() -> int:
@@ -339,6 +429,15 @@ class _Echo:
     def handle_request(self, method, path, query, body, sender_id):
         self.bodies.append(body)
         return 200, "text/plain", body
+
+
+@pytest.fixture
+def echo_server():
+    host = _Echo()
+    server = HostServer(host)
+    server.start_background()
+    yield server, host
+    server.shutdown()
 
 
 def _http_server(handler: type[BaseHTTPRequestHandler]) -> ThreadingHTTPServer:
@@ -533,6 +632,137 @@ class TestPool:
         assert seen == ["Basic " + base64.b64encode(b"alice:s3cret").decode("ascii")]
 
 
+class _RawPeer:
+    """A peer that answers every request with the same raw bytes and then
+    closes the connection; it keeps the head of each request."""
+
+    def __init__(self, answer: bytes):
+        self.answer = answer
+        self.heads: list[str] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                sock, _ = self.listener.accept()
+            except OSError:
+                return
+            with sock:
+                head = b""
+                while b"\r\n\r\n" not in head and (chunk := sock.recv(4096)):
+                    head += chunk
+                self.heads.append(head.decode("latin-1"))
+                sock.sendall(self.answer)
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+        self.listener.close()
+        self.thread.join(timeout=5)
+
+
+@pytest.fixture
+def raw_peer():
+    peers = []
+
+    def start(answer: bytes) -> _RawPeer:
+        peers.append(_RawPeer(answer))
+        return peers[-1]
+
+    yield start
+    for peer in peers:
+        peer.close()
+
+
+class TestAnswerFraming:
+    """How the client reads answers that other servers may send."""
+
+    def test_chunked_answer_is_decoded(self, raw_peer):
+        peer = raw_peer(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                        b"5;name=value\r\nhello\r\n7\r\n, world\r\n0\r\nX-Trailer: t\r\n\r\n")
+        network = Network()
+        try:
+            assert network.request("GET", f"http://127.0.0.1:{peer.port}/") == (200, "hello, world")
+        finally:
+            network.close()
+
+    @pytest.mark.parametrize("interim", [b"HTTP/1.1 100 Continue\r\n\r\n",
+                                         b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>\r\n\r\n"],
+                             ids=["100", "103"])
+    def test_interim_answer_is_skipped(self, raw_peer, interim):
+        peer = raw_peer(interim + b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+        network = Network()
+        try:
+            assert network.request("GET", f"http://127.0.0.1:{peer.port}/") == (200, "ok")
+        finally:
+            network.close()
+
+    def test_answer_without_a_length_is_read_to_eof_and_not_pooled(self, raw_peer):
+        peer = raw_peer(b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nuntil the end")
+        client = transport.HttpClient()
+        try:
+            assert client.send("GET", urlsplit(f"http://127.0.0.1:{peer.port}/"), b"", {},
+                               5.0) == (200, "until the end")
+            assert not any(client._idle.values())
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("answer", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde",
+    ], ids=["short", "two-lengths"])
+    def test_answer_that_breaks_its_length_raises(self, raw_peer, answer):
+        peer = raw_peer(answer)
+        client = transport.HttpClient()
+        try:
+            with pytest.raises(TransportError):
+                client.send("GET", urlsplit(f"http://127.0.0.1:{peer.port}/"), b"", {}, 5.0)
+            assert not any(client._idle.values())
+        finally:
+            client.close()
+
+    def test_host_field_is_hostname_and_port(self, raw_peer):
+        peer = raw_peer(b"HTTP/1.1 204 No Content\r\n\r\n")
+        network = Network()
+        try:
+            assert network.request("GET", f"http://127.0.0.1:{peer.port}/x") == (204, "")
+        finally:
+            network.close()
+        assert peer.heads[0].startswith("GET /x HTTP/1.1\r\n")
+        assert f"\r\nHost: 127.0.0.1:{peer.port}\r\n" in peer.heads[0]
+
+    def test_userinfo_is_sent_neither_in_host_nor_to_the_proxy(self, raw_peer, monkeypatch):
+        """A plain-HTTP proxy gets the absolute target, which names the
+        host as the Host field does."""
+        proxy = raw_peer(b"HTTP/1.1 204 No Content\r\n\r\n")
+        for name in ("NO_PROXY", "no_proxy", "http_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.port}")
+        network = Network()
+        try:
+            assert network.request("GET", "http://user:pw@peer.example:8080/y") == (204, "")
+        finally:
+            network.close()
+        assert proxy.heads[0].startswith("GET http://peer.example:8080/y HTTP/1.1\r\n")
+        assert "\r\nHost: peer.example:8080\r\n" in proxy.heads[0]
+
+    def test_no_proxy_matches_a_url_with_userinfo(self, raw_peer, monkeypatch):
+        monkeypatch.setattr(transport, "BACKOFF_S", 0.01)
+        peer = raw_peer(b"HTTP/1.1 204 No Content\r\n\r\n")
+        for name in ("no_proxy", "http_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_closed_port()}")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        network = Network()
+        try:
+            assert network.request("GET", f"http://user:pw@127.0.0.1:{peer.port}/") == (204, "")
+        finally:
+            network.close()
+        assert len(peer.heads) == 1
+
+
 _STDLIB_ONLY = """
 import sys
 from agentmesh.gateway import LiveChatBackend, Message
@@ -558,6 +788,27 @@ def test_runtime_imports_neither_requests_nor_urllib3():
                           timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+_NO_STDLIB_SERVER = """
+import sys
+from agentmesh.simulator import ScenarioConfig, run_scenario
+
+result = run_scenario(ScenarioConfig(name="http-desk", seed=3, n_users=4, server_replicas=1,
+                                     total_queries=12, transport="http"))
+assert [r.status for r in result.records] == ["success"] * 12
+print("http.server" in sys.modules)
+"""
+
+
+def test_runtime_serves_without_the_stdlib_http_server():
+    """HostServer speaks HTTP through the transport's codec; a desk run over
+    HTTP must not load ``http.server``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _NO_STDLIB_SERVER], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestClientGone:
