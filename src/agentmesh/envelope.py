@@ -34,6 +34,7 @@ STATUS_REJECTED = "rejected"
 VALID_STATUSES = frozenset({STATUS_SUCCESS, STATUS_FAILURE, STATUS_REJECTED})
 _REQUEST_FIELDS = frozenset({"protocolHash", "protocolSources", "body"})
 _RESPONSE_FIELDS = frozenset({"status", "body"})
+_MISSING = object()
 
 
 class EnvelopeError(Exception):
@@ -89,40 +90,51 @@ def encode_request(env: RequestEnvelope) -> str:
             f'"body":{_quote_body(env.body)}}}')
 
 
-def decode_request(text: str) -> RequestEnvelope:
+def _load_object(text: str, what: str) -> dict:
+    """*text* decoded as a JSON object; any other text, nesting too deep
+    for the decoder included, is a DecodeError."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:
-        raise DecodeError(f"request is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise DecodeError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise DecodeError("request must be a JSON object")
+        raise DecodeError(f"{what} must be a JSON object")
+    return raw
 
+
+def decode_request(text: str) -> RequestEnvelope:
+    raw = _load_object(text, "request")
     if not _REQUEST_FIELDS.issuperset(raw):
         raise DecodeError(f"unknown request fields: {sorted(raw.keys() - _REQUEST_FIELDS)}")
-    for key in ("protocolSources", "body"):
-        if key not in raw:
-            raise DecodeError(f"missing request field: {key}")
+    sources = raw.get("protocolSources", _MISSING)
+    if sources is _MISSING:
+        raise DecodeError("missing request field: protocolSources")
+    body = raw.get("body", _MISSING)
+    if body is _MISSING:
+        raise DecodeError("missing request field: body")
 
     # An absent protocolHash decodes like an explicit null (natural language).
     digest = raw.get("protocolHash")
     if digest is not None:
-        if not isinstance(digest, str) or not is_valid_hash(digest):
+        if not is_valid_hash(digest):
             raise DecodeError(f"protocolHash must be null or a 40-hex digest, got {digest!r}")
         digest = digest.lower()
 
-    sources = raw["protocolSources"]
-    if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
+    if not isinstance(sources, list):
         raise DecodeError("protocolSources must be an array of strings")
-    if digest is None and sources:
-        raise DecodeError("protocolSources must be empty when protocolHash is null")
-    if digest is not None and not sources:
+    for source in sources:
+        if not isinstance(source, str):
+            raise DecodeError("protocolSources must be an array of strings")
+    if digest is None:
+        if sources:
+            raise DecodeError("protocolSources must be empty when protocolHash is null")
+    elif not sources:
         raise DecodeError("protocolSources must be non-empty when protocolHash is set")
 
-    body = raw["body"]
     if not isinstance(body, str):
         raise DecodeError("body must be a string")
 
-    return RequestEnvelope(protocol_hash=digest, protocol_sources=tuple(sources), body=body)
+    return RequestEnvelope(digest, tuple(sources), body)
 
 
 def encode_response(env: ResponseEnvelope) -> str:
@@ -137,28 +149,24 @@ def encode_response(env: ResponseEnvelope) -> str:
 
 
 def decode_response(text: str) -> ResponseEnvelope:
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:
-        raise DecodeError(f"response is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DecodeError("response must be a JSON object")
-
+    raw = _load_object(text, "response")
     if not _RESPONSE_FIELDS.issuperset(raw):
         raise DecodeError(f"unknown response fields: {sorted(raw.keys() - _RESPONSE_FIELDS)}")
-    if "status" not in raw:
+    status = raw.get("status", _MISSING)
+    if status is _MISSING:
         raise DecodeError("missing response field: status")
 
-    status = raw["status"]
-    if status not in VALID_STATUSES:
+    # An unhashable status (a list, say) would make the set test raise TypeError.
+    if not isinstance(status, str) or status not in VALID_STATUSES:
         raise DecodeError(f"unknown status: {status!r}")
     body = raw.get("body")
-    if body is not None and not isinstance(body, str):
-        raise DecodeError("body must be a string when present")
-    if status == STATUS_REJECTED and body is not None:
-        raise DecodeError("rejected responses carry no body")
+    if body is not None:
+        if not isinstance(body, str):
+            raise DecodeError("body must be a string when present")
+        if status == STATUS_REJECTED:
+            raise DecodeError("rejected responses carry no body")
 
-    return ResponseEnvelope(status=status, body=body)
+    return ResponseEnvelope(status, body)
 
 
 # ── wellknown discovery payload ──────────────────────────────────────
@@ -175,13 +183,7 @@ def build_wellknown(wellknown: dict[str, list[str]]) -> str:
 
 
 def parse_wellknown(text: str) -> dict[str, tuple[str, ...]]:
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:
-        raise DecodeError(f"wellknown payload is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DecodeError("wellknown payload must be a JSON object")
-
+    raw = _load_object(text, "wellknown payload")
     wellknown = {}
     for digest, sources in raw.items():
         if not is_valid_hash(digest):

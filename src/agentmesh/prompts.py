@@ -79,9 +79,12 @@ def parse_tool_call(reply: str) -> tuple[str, dict] | None:
         return None
     try:
         payload = json.loads(reply[len(TOOL_CALL_PREFIX):])
-        return payload["tool"], payload.get("args", {})
-    except (ValueError, KeyError, TypeError):
+        tool, args = payload["tool"], payload.get("args", {})
+    except (ValueError, KeyError, TypeError, RecursionError):
         return None
+    if not isinstance(tool, str) or not isinstance(args, dict):
+        return None
+    return tool, args
 
 
 def format_tool_call(tool: str, args: dict) -> str:

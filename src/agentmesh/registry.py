@@ -50,6 +50,12 @@ class RegistryStore:
         self.peers = tuple(peers)
         self.root = root
         self._documents: dict[str, ProtocolDocument] = {}
+        # The sorted (hash, name, description) rows and the JSON text of the
+        # full listing, rebuilt on the first read after a submit changed
+        # the set; both are built and stored under _lock.
+        self._listing: tuple[tuple[tuple[str, str, str], ...], str] | None = None
+        # Per peer, the last listing text parsed and the digests in it.
+        self._peer_listings: dict[str, tuple[str, frozenset[str]]] = {}
         self._lock = threading.Lock()
         if root:
             self._load()
@@ -76,24 +82,30 @@ class RegistryStore:
                 if self.root:
                     save_document(doc, self.root)
                 self._documents[digest] = doc
+                self._listing = None
         return digest
 
     def get(self, digest: str) -> ProtocolDocument | None:
         with self._lock:
             return self._documents.get(digest.lower())
 
+    def _kept_listing(self) -> tuple[tuple[tuple[str, str, str], ...], str]:
+        """The sorted rows of every document and the JSON text of them."""
+        with self._lock:
+            if self._listing is None:
+                rows = tuple((digest, doc.name, doc.description)
+                             for digest, doc in sorted(self._documents.items()))
+                self._listing = rows, json.dumps(
+                    [dict(zip(_ROW_KEYS, row)) for row in rows])
+            return self._listing
+
     def query(self, keyword: str = "") -> list[tuple[str, str, str]]:
         """Entries whose metadata name/description contain *keyword*
         (case-insensitive); empty keyword lists everything."""
         needle = keyword.lower()
-        out = []
-        with self._lock:
-            docs = sorted(self._documents.items())
-        for digest, doc in docs:
-            haystack = f"{doc.name} {doc.description}".lower()
-            if not needle or needle in haystack:
-                out.append((digest, doc.name, doc.description))
-        return out
+        rows, _ = self._kept_listing()
+        return [row for row in rows
+                if not needle or needle in f"{row[1]} {row[2]}".lower()]
 
     def __len__(self) -> int:
         with self._lock:
@@ -108,22 +120,21 @@ class RegistryStore:
         the number of documents transmitted. A peer whose listing fails is
         skipped. A document the peer refuses (any answer but 200) is skipped,
         and the rest of a peer's share once a post cannot reach it."""
-        with self._lock:
-            snapshot = sorted(self._documents.items())
+        rows, _ = self._kept_listing()
         transmitted = 0
         for peer in self.peers:
             client = RegistryClient(self.network, peer)
             try:
-                held = {digest for digest, _, _ in client.query()}
+                held = self._held_by(peer, client.listing())
             except (TransportError, ValueError) as exc:
                 logger.warning("registry %s: no listing from peer %s (%s)",
                                self.registry_id, peer, exc)
                 continue
-            for digest, doc in snapshot:
+            for digest, _, _ in rows:
                 if digest in held:
                     continue
                 try:
-                    client.submit(doc.raw_text)
+                    client.submit(self.get(digest).raw_text)
                 except StatusError as exc:
                     logger.warning("registry %s: peer %s refused %.8s (%s)",
                                    self.registry_id, peer, digest, exc)
@@ -134,6 +145,17 @@ class RegistryStore:
                     break
                 transmitted += 1
         return transmitted
+
+    def _held_by(self, peer: str, text: str) -> frozenset[str]:
+        """The digests in *peer*'s listing *text*; parsed only when it
+        differs from the text parsed last time (a peer's listing changes
+        only when it gains a document, or restarts)."""
+        last = self._peer_listings.get(peer)
+        if last is not None and last[0] == text:
+            return last[1]
+        held = frozenset(digest for digest, _, _ in parse_listing(text, peer))
+        self._peer_listings[peer] = text, held
+        return held
 
     # -- wire host --------------------------------------------------------
 
@@ -153,8 +175,10 @@ class RegistryStore:
                 return 404, PLAIN_TEXT, "not found"
             return 200, PLAIN_TEXT, doc.raw_text
         if method == "GET" and path == "/pd":
-            rows = [{"hash": h, "name": n, "description": d}
-                    for h, n, d in self.query(query.get("query", ""))]
+            keyword = query.get("query", "")
+            if not keyword:
+                return 200, "application/json", self._kept_listing()[1]
+            rows = [dict(zip(_ROW_KEYS, row)) for row in self.query(keyword)]
             return 200, "application/json", json.dumps(rows)
         if method == "POST" and path == "/share":
             return 200, PLAIN_TEXT, str(self.share_with_peers())
@@ -174,16 +198,30 @@ class RegistryClient:
     def submit(self, text: str) -> str:
         return self.network.call("POST", f"{self.base_url}/pd", text)
 
-    def query(self, keyword: str = "") -> list[tuple[str, str, str]]:
-        """The listing as (hash, name, description) rows. Raises ValueError
-        for an answer that is not a JSON array of objects with string
-        ``hash``, ``name`` and ``description``."""
+    def listing(self, keyword: str = "") -> str:
+        """The registry's answer to ``GET /pd``, as text."""
         url = f"{self.base_url}/pd"
         if keyword:
             url += f"?query={quote(keyword, safe='')}"
-        rows = json.loads(self.network.call("GET", url))
-        if not isinstance(rows, list) or not all(
-                isinstance(row, dict) and all(isinstance(row.get(key), str) for key in _ROW_KEYS)
-                for row in rows):
-            raise ValueError(f"malformed listing from {url}")
-        return [(row["hash"], row["name"], row["description"]) for row in rows]
+        return self.network.call("GET", url)
+
+    def query(self, keyword: str = "") -> list[tuple[str, str, str]]:
+        """The listing as (hash, name, description) rows; see
+        ``parse_listing``."""
+        return parse_listing(self.listing(keyword), self.base_url)
+
+
+def parse_listing(text: str, source: str) -> list[tuple[str, str, str]]:
+    """The (hash, name, description) rows of a registry listing. Raises
+    ValueError for text that is not a JSON array of objects with string
+    ``hash``, ``name`` and ``description``; *source* names the registry in
+    the message."""
+    try:
+        rows = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"listing from {source} is nested too deeply") from exc
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and all(isinstance(row.get(key), str) for key in _ROW_KEYS)
+            for row in rows):
+        raise ValueError(f"malformed listing from {source}")
+    return [(row["hash"], row["name"], row["description"]) for row in rows]

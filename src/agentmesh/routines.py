@@ -265,7 +265,7 @@ def execute_routine(routine: Routine, body: str, tools: Mapping[str, ToolRunner]
     """Decode a JSON request body and run *routine* on it (``run_routine``)."""
     try:
         parsed = json.loads(body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise RoutineInputError(f"request body is not valid JSON: {exc}") from exc
     return run_routine(routine, parsed, tools)
 

@@ -110,7 +110,10 @@ def _conversation_fields(body: str | None) -> tuple[str, str, str | None]:
     """The ``(conversation_id, message, from)`` of a conversation-protocol
     body. Raises ValueError unless it is a JSON object whose id and message
     are strings and whose ``from`` is a string or absent."""
-    payload = json.loads(body or "")
+    try:
+        payload = json.loads(body or "")
+    except RecursionError as exc:
+        raise ValueError("nested too deeply") from exc
     if not isinstance(payload, dict):
         raise ValueError("not a JSON object")
     conv_id, message, from_id = (payload.get(key) for key in ("conversation_id", "message", "from"))
@@ -805,17 +808,17 @@ class Agent:
         """Send *payload* under the *adopted* protocol; None when the peer
         rejects it, which drops the pair's adoption."""
         digest, sources = adopted
-        doc = self.get_document(digest)
         routine = self.get_routine(digest, SENDER)
+        body = None
         if routine is not None:
             try:
                 body = run_routine(routine, as_decoded_json(payload), self._tool_impls)
             except RoutineError as exc:
                 logger.info("%s: sender routine failed (%s); composing with model",
                             self.agent_id, exc)
-                body = self.compose_body(task_type, task_description, payload, doc)
-        else:
-            body = self.compose_body(task_type, task_description, payload, doc)
+        if body is None:
+            body = self.compose_body(task_type, task_description, payload,
+                                     self.get_document(digest))
 
         resp = self._send(peer_id, RequestEnvelope(digest, sources, body))
         if resp.status == STATUS_REJECTED:
@@ -840,7 +843,7 @@ class Agent:
         this; that asymmetry is most of the routine savings."""
         try:
             return json.loads(reply)
-        except ValueError:
+        except (ValueError, RecursionError):
             pass
         conversation = [
             prompts.parse_system(self.agent_id, task_type, task_description),

@@ -173,7 +173,7 @@ class ScriptedBackend(CompletionBackend):
         if protocol_mode:
             try:
                 payload = json.loads(body)
-            except ValueError:
+            except (ValueError, RecursionError):
                 return "final_reply", json.dumps({"error": "request body is not valid JSON"})
         else:
             payload = task.parse_question(body)

@@ -330,7 +330,7 @@ class Scenario:
         a document, so the union can change only when some registry grows;
         it is recounted only then."""
         # Sizes first: a document stored meanwhile shows as growth next time.
-        sizes = tuple(len(registry) for registry in self.registries)
+        sizes = tuple(map(len, self.registries))
         if sizes != self._pd_sizes:
             hashes: set[str] = set()
             for registry in self.registries:

@@ -445,7 +445,7 @@ class Network:
         host = self._hosts.get(parts.netloc)
         if host is None:
             raise TransportError(f"no in-process host named {parts.netloc!r}")
-        query = dict(parse_qsl(parts.query))
+        query = dict(parse_qsl(parts.query)) if parts.query else {}
         try:
             status, _ctype, text = host.handle_request(method, parts.path or "/", query, body, sender_id)
         except Exception as exc:  # noqa: BLE001 - answered as HostServer answers it

@@ -14,6 +14,8 @@ from agentmesh.scripted import ScriptedBackend
 from agentmesh.transport import Network
 
 WEATHER_TEXT = catalog.WEATHER_PD_TEXT
+# JSON nested far deeper than the decoder can follow.
+DEEP = "[" * 100_000 + "]" * 100_000
 FLAT_PRICES = {"gpt-4o": ModelPrice(5.0, 15.0)}
 
 

@@ -12,6 +12,7 @@ from agentmesh.envelope import (DecodeError, EncodeError, RequestEnvelope,
                                 decode_request, decode_response, encode_request,
                                 encode_response, parse_wellknown)
 from agentmesh.catalog import WEATHER_PD_TEXT
+from conftest import DEEP
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 WEATHER_HASH = compute_hash(WEATHER_PD_TEXT)
@@ -195,6 +196,60 @@ class TestCanonicalText:
     def test_response_with_non_string_body_is_encode_error(self, body):
         with pytest.raises(EncodeError):
             encode_response(ResponseEnvelope("success", body))
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=20), inner,
+                                                                max_size=4),
+    max_leaves=12)
+# Objects over the envelopes' own keys, so that each field check is reached.
+_FIELD_NAMES = st.sampled_from(["protocolHash", "protocolSources", "body", "status", "other"])
+_FIELD_VALUES = (_json | _hashes | st.sampled_from(["success", "failure", "rejected"])
+                 | st.lists(st.text(max_size=10), max_size=2))
+_objects = st.dictionaries(_FIELD_NAMES, _FIELD_VALUES, max_size=4)
+_DECODERS = [decode_request, decode_response, parse_wellknown]
+
+
+class TestDecodersRaiseOnlyDecodeError:
+    """Any text decodes to an envelope (or wellknown map) or raises
+    DecodeError, and nothing else."""
+
+    @pytest.mark.parametrize("decode", _DECODERS)
+    @given(value=_json | _objects)
+    def test_any_json_value(self, decode, value):
+        try:
+            decode(json.dumps(value))
+        except DecodeError:
+            pass
+
+    @pytest.mark.parametrize("decode", _DECODERS)
+    @given(text=st.text(max_size=60))
+    def test_any_text(self, decode, text):
+        try:
+            decode(text)
+        except DecodeError:
+            pass
+
+    @pytest.mark.parametrize("decode", _DECODERS)
+    @pytest.mark.parametrize("text", ['{"status": []}', '{"status": {}}', DEEP,
+                                      '{"body": %s}' % DEEP],
+                             ids=["list-status", "object-status", "deep", "deep-field"])
+    def test_hostile_text(self, decode, text):
+        with pytest.raises(DecodeError):
+            decode(text)
+
+    @given(env=st.builds(RequestEnvelope, st.none(), st.just(()), _awkward_text)
+           | st.builds(RequestEnvelope, _hashes, st.lists(_awkward_text, min_size=1,
+                                                          max_size=3).map(tuple), _awkward_text)
+           | st.builds(ResponseEnvelope, st.sampled_from(["success", "failure"]),
+                       st.none() | _awkward_text)
+           | st.just(ResponseEnvelope("rejected")))
+    def test_decode_inverts_encode(self, env):
+        if isinstance(env, RequestEnvelope):
+            assert decode_request(encode_request(env)) == env
+        else:
+            assert decode_response(encode_response(env)) == env
 
 
 class TestWellknown:

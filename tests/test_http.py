@@ -26,7 +26,7 @@ from agentmesh.runtime import BOOTSTRAP_HASH, Agent, AgentConfig, ToolDescriptor
 from agentmesh.scripted import ScriptedBackend
 from agentmesh.serve import HostServer
 from agentmesh.transport import Network, TransportError
-from conftest import WEATHER_TEXT
+from conftest import DEEP, WEATHER_TEXT
 
 WEATHER_HASH = compute_hash(WEATHER_TEXT)
 
@@ -75,6 +75,10 @@ class TestAgentEndpoint:
 
     def test_malformed_envelope_is_400(self, agent_server):
         resp = requests.post(agent_server.url + "/", data="not json", timeout=10)
+        assert resp.status_code == 400
+
+    def test_deeply_nested_envelope_is_400(self, agent_server):
+        resp = requests.post(agent_server.url + "/", data=DEEP, timeout=10)
         assert resp.status_code == 400
 
     def test_unknown_path_404(self, agent_server):

@@ -1,17 +1,22 @@
 """Registry storage, querying, peer sharing, and load-time integrity."""
 
+import json
 import os
+import sys
+import threading
+import time
 
 import pytest
 
-from agentmesh import catalog
+from agentmesh import catalog, registry
 from agentmesh.documents import compute_hash, verify_document
 from agentmesh.registry import RegistryClient, RegistryIntegrityError, RegistryStore
 from agentmesh.serve import HostServer
 from agentmesh.transport import Network, StatusError
-from conftest import WEATHER_TEXT
+from conftest import DEEP, WEATHER_TEXT
 
 WEATHER_HASH = compute_hash(WEATHER_TEXT)
+TAXI_TEXT = catalog.pd_text(catalog.CATALOG["taxi"])
 
 
 @pytest.fixture
@@ -217,16 +222,153 @@ class TestSharing:
         assert store.share_with_peers() == 1
         assert peer.hashes() == {first, second}
 
-    @pytest.mark.parametrize("failing", ["mem://gone", "mem://broken", "mem://other"],
-                             ids=["unreachable", "5xx", "not-a-listing"])
+    @pytest.mark.parametrize("failing", ["mem://gone", "mem://broken", "mem://other",
+                                         "mem://deep"],
+                             ids=["unreachable", "5xx", "not-a-listing", "deep"])
     def test_peer_whose_listing_fails_is_skipped(self, network, failing):
         store = RegistryStore("db1", network, peers=(failing, "mem://db2"))
         network.register("broken", _Answers(500, "internal error"))
         network.register("other", _Answers(200, "not json"))
+        network.register("deep", _Answers(200, DEEP))
         network.register("db2", RegistryStore("db2", network))
         store.submit(WEATHER_TEXT)
         assert store.share_with_peers() == 1
         assert network.host("db2").get(WEATHER_HASH) is not None
+
+
+def fresh_listing(store) -> str:
+    """The full listing built from scratch from the stored documents."""
+    docs = sorted((digest, store.get(digest)) for digest in store.hashes())
+    return json.dumps([{"hash": digest, "name": doc.name, "description": doc.description}
+                       for digest, doc in docs])
+
+
+def listed(store) -> str:
+    status, _, text = store.handle_request("GET", "/pd", {}, "", None)
+    assert status == 200
+    return text
+
+
+def protocol_text(i: int) -> str:
+    return f"Name: Protocol {i}\nDescription: Test protocol number {i}.\n\nBody {i}.\n"
+
+
+class TestKeptListing:
+    """The full listing a registry keeps equals one built from scratch."""
+
+    def test_follows_submits(self, network):
+        store = RegistryStore("db1", network)
+        assert listed(store) == fresh_listing(store) == "[]"
+        store.submit(WEATHER_TEXT)
+        assert listed(store) == fresh_listing(store)
+        store.submit(TAXI_TEXT)
+        assert listed(store) == fresh_listing(store)
+        before = listed(store)
+        store.submit(WEATHER_TEXT)
+        assert listed(store) == fresh_listing(store) == before
+        assert [row[0] for row in store.query("")] == sorted(store.hashes())
+
+    def test_disk_backed_load(self, tmp_path, network):
+        root = str(tmp_path / "db")
+        first = RegistryStore("db1", network, root=root)
+        first.submit(TAXI_TEXT)
+        first.submit(WEATHER_TEXT)
+        again = RegistryStore("db1", network, root=root)
+        assert listed(again) == fresh_listing(again) == listed(first)
+
+    def test_concurrent_submits_and_listings(self, network):
+        """Rounds of 4 submitting threads against 4 listing threads. A
+        listing built from a snapshot taken before a submit, but kept after
+        it, would stay until the next submit: each round ends by comparing."""
+        store = RegistryStore("db1", network)
+        done = threading.Event()
+        reads = [0] * 4
+        stale_rounds = []
+
+        def read(k):
+            while not done.is_set():
+                listed(store)
+                reads[k] += 1
+
+        def settled(before):
+            # Each reader has finished a listing it started after the round.
+            deadline = time.monotonic() + 10
+            while any(now < then + 2 for now, then in zip(reads, before)):
+                assert time.monotonic() < deadline
+                time.sleep(0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for round_no in range(40):
+                writers = [threading.Thread(target=store.submit,
+                                            args=(protocol_text(4 * round_no + k),))
+                           for k in range(4)]
+                for thread in writers:
+                    thread.start()
+                for thread in writers:
+                    thread.join(10)
+                    assert not thread.is_alive()
+                settled(list(reads))
+                if listed(store) != fresh_listing(store):
+                    stale_rounds.append(round_no)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert len(store) == 160 and not stale_rounds
+
+
+class TestPeerListingReuse:
+    """A share round parses a peer's listing only when its text changed."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        parse = registry.parse_listing
+
+        def counting(text, source):
+            calls.append(source)
+            return parse(text, source)
+        monkeypatch.setattr(registry, "parse_listing", counting)
+        return calls
+
+    def test_unchanged_listing_is_parsed_once(self, network, parses):
+        store = RegistryStore("db1", network, peers=("mem://db2",))
+        network.register("db2", RegistryStore("db2", network))
+        store.submit(WEATHER_TEXT)
+        assert store.share_with_peers() == 1
+        assert store.share_with_peers() == 0
+        assert store.share_with_peers() == 0
+        assert len(parses) == 2
+
+    def test_grown_listing_is_parsed_again(self, network, parses):
+        store = RegistryStore("db1", network, peers=("mem://db2",))
+        peer = RegistryStore("db2", network)
+        network.register("db2", peer)
+        store.submit(WEATHER_TEXT)
+        peer.submit(WEATHER_TEXT)
+        assert store.share_with_peers() == 0 and len(parses) == 1
+        peer.submit(TAXI_TEXT)
+        store.submit(protocol_text(1))
+        assert store.share_with_peers() == 1 and len(parses) == 2
+        assert peer.hashes() >= store.hashes()
+
+    def test_peer_replaced_by_an_empty_store_is_refilled(self, network):
+        store = RegistryStore("db1", network, peers=("mem://db2",))
+        network.register("db2", RegistryStore("db2", network))
+        store.submit(WEATHER_TEXT)
+        store.submit(TAXI_TEXT)
+        assert store.share_with_peers() == 2
+        assert store.share_with_peers() == 0
+        network.register("db2", RegistryStore("db2", network))
+        assert store.share_with_peers() == 2
+        assert network.host("db2").hashes() == store.hashes()
 
 
 class TestDiskStore:
@@ -312,7 +454,8 @@ class TestWireSurface:
 
     @pytest.mark.parametrize("listing", [
         "not json", "{}", "[1]", '[{"name": "x"}]',
-        '[{"hash": 1, "name": "x", "description": "y"}]'])
+        '[{"hash": 1, "name": "x", "description": "y"}]',
+        pytest.param(DEEP, id="deep")])
     def test_malformed_listing_is_a_value_error(self, network, listing):
         network.register("db1", _Answers(200, listing))
         with pytest.raises(ValueError):

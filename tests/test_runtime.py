@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from agentmesh import catalog
+from agentmesh import catalog, prompts
 from agentmesh.documents import ProtocolMetadata, TamperError, compute_hash, render_document
 from agentmesh.envelope import (RequestEnvelope, ResponseEnvelope, decode_request,
                                 encode_response, parse_wellknown)
@@ -20,7 +20,7 @@ from agentmesh.runtime import (BOOTSTRAP_HASH, Agent, AgentConfig,
                                EscalationThresholds, Mode, NegotiationError,
                                ResolutionError, ToolDescriptor, decide_mode)
 from agentmesh.scripted import ScriptedBackend
-from conftest import WEATHER_TEXT
+from conftest import DEEP, WEATHER_TEXT
 
 WEATHER_HASH = compute_hash(WEATHER_TEXT)
 NY_BODY = json.dumps({"date": "2023-10-01", "location": "New York"})
@@ -432,7 +432,8 @@ class _ConversationAnswers:
 
 
 class TestMalformedConversation:
-    @pytest.mark.parametrize("reply", ["[1]", '{"message": 5}', None])
+    @pytest.mark.parametrize("reply", ["[1]", '{"message": 5}', None,
+                                       pytest.param(DEEP, id="deep")])
     def test_malformed_reply_fails_the_negotiation(self, world, reply):
         bob = world.add_weather_server()
         world.network.register("bob", _ConversationAnswers(bob, reply))
@@ -445,7 +446,8 @@ class TestMalformedConversation:
     @pytest.mark.parametrize("body", [
         "[1,2]", '"text"', '{"conversation_id": [1], "message": "hi"}',
         '{"conversation_id": "c", "message": 5}',
-        '{"conversation_id": "c", "message": "hi", "from": 5}'])
+        '{"conversation_id": "c", "message": "hi", "from": 5}',
+        pytest.param(DEEP, id="deep")])
     def test_malformed_body_gets_a_failure(self, world, caplog, body):
         bob = world.add_weather_server()
         with caplog.at_level("INFO"):
@@ -453,6 +455,83 @@ class TestMalformedConversation:
         assert resp.status == "failure"
         assert resp.body.startswith("malformed conversation body: ")
         assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+
+class _AnswersPosts:
+    """A wire host in front of *host* that answers every POST with 200 and
+    *text*."""
+
+    def __init__(self, host, text):
+        self.host = host
+        self.text = text
+
+    def handle_request(self, method, path, query, body, sender_id):
+        if method == "POST":
+            return 200, "application/json", self.text
+        return self.host.handle_request(method, path, query, body, sender_id)
+
+
+class TestHostilePeerText:
+    """Text from a peer that no decoder accepts is a failure, never an
+    exception out of the agent."""
+
+    @pytest.mark.parametrize("answer", ['{"status": []}', DEEP],
+                             ids=["unhashable-status", "deep"])
+    def test_send_task_answers_failure(self, world, answer):
+        bob = world.add_weather_server()
+        world.network.register("bob", _AnswersPosts(bob, answer))
+        alice = world.add_agent("alice")
+        resp, path = alice.send_task("bob", "weather", {"location": "Paris", "date": "2024-10-14"})
+        assert (resp.status, path) == ("failure", "natural_language")
+        assert resp.body.startswith("transport error: ")
+
+    def test_deep_language_reply_goes_to_the_model(self, world):
+        bob = world.add_weather_server()
+        answer = encode_response(ResponseEnvelope("success", DEEP))
+        world.network.register("bob", _AnswersPosts(bob, answer))
+        alice = world.add_agent("alice", backend=FixedReplyBackend('{"temperature": 1}'))
+        assert alice.parse_reply("weather", "weather", DEEP) == {"temperature": 1}
+        resp, path = alice.send_task("bob", "weather", {"location": "Paris", "date": "2024-10-14"})
+        assert (resp.status, path) == ("success", "natural_language")
+
+    def test_deep_protocol_body_goes_to_the_model(self, world, caplog):
+        bob = world.add_weather_server()
+        world.registry.submit(WEATHER_TEXT)
+        assert bob.synthesize_routine(bob.resolve_protocol(WEATHER_HASH, ()), RECEIVER)
+        with caplog.at_level("INFO"):
+            resp = bob.dispatch(RequestEnvelope(
+                WEATHER_HASH, (f"mem://db1/pd/{WEATHER_HASH}",), DEEP))
+        assert resp == ResponseEnvelope(
+            "success", json.dumps({"error": "request body is not valid JSON"}))
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_deep_request_is_400(self, world):
+        world.add_weather_server()
+        status, text = world.network.request("POST", "mem://bob/", DEEP)
+        assert status == 400 and text.startswith("request is not valid JSON: ")
+
+
+class TestToolCall:
+    @pytest.mark.parametrize("reply, call", [
+        ('TOOL_CALL {"tool": "weather_db", "args": {"a": 1}}', ("weather_db", {"a": 1})),
+        ('TOOL_CALL {"tool": "weather_db"}', ("weather_db", {})),
+        ('TOOL_CALL {"tool": ["weather_db"]}', None),
+        ('TOOL_CALL {"tool": null}', None),
+        ('TOOL_CALL {"tool": "weather_db", "args": [1]}', None),
+        ('TOOL_CALL {"tool": "weather_db", "args": null}', None),
+        ("TOOL_CALL [1]", None),
+        ("TOOL_CALL " + DEEP, None),
+        ("TOOL_CALL {", None),
+        ("no call", None),
+    ], ids=["call", "no-args", "list-tool", "null-tool", "list-args", "null-args",
+            "array", "deep", "bad-json", "not-a-call"])
+    def test_parse_tool_call(self, reply, call):
+        assert prompts.parse_tool_call(reply) == call
+
+    def test_non_string_tool_is_answered_as_a_reply(self, world):
+        reply = 'TOOL_CALL {"tool": ["weather_db"], "args": {}}'
+        bob = world.add_weather_server(backend=FixedReplyBackend(reply))
+        assert bob.dispatch(RequestEnvelope(None, (), "hi")) == ResponseEnvelope("success", reply)
 
 
 # ── suitability ──────────────────────────────────────────────────────
@@ -547,7 +626,8 @@ class TestEscalationTrace:
         modes = [alice.send_task("bob", "weather", payload, desc)[1] for _ in range(4)]
         assert modes == ["natural_language", "natural_language", "check_existing", "protocol"]
 
-    @pytest.mark.parametrize("listing", ["not json", '[{"name": "x"}]'])
+    @pytest.mark.parametrize("listing", ["not json", '[{"name": "x"}]',
+                                         pytest.param(DEEP, id="deep")])
     def test_malformed_registry_listing_counts_as_no_listing(self, world, listing):
         world.network.register("db1", _Counting(world.registry, listing))
         world.add_weather_server()
