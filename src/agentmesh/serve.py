@@ -1,7 +1,9 @@
 """HTTP hosting for agents and registries.
 
 Wraps any wire host (``handle_request``) in a threading TCP server that
-speaks HTTP/1.1 through the transport's message codec, so the same objects
+speaks HTTP/1.1 through the transport's message codec, one ``_Reader`` per
+connection (the socket and a buffer that ``recv`` fills, which keeps the
+bytes after a request for the next one), so the same objects
 that back the in-process transport can be exposed on a real socket: POST /
 for envelopes, GET /.wellknown for discovery, and the registry's /pd and
 /share endpoints.
@@ -23,9 +25,10 @@ start a request.
   bytes; 431 also for more than ``transport.MAX_FIELDS`` fields.
 - 505: an HTTP version other than 1.0 and 1.1.
 
+Empty lines before a request line are ignored (RFC 9112 §2.2).
 ``Expect: 100-continue`` gets ``100 Continue`` before the body is read. Each
-answer goes out in one write and carries ``Date``. An answer to a client
-that has already left is dropped without a word.
+answer goes out in one write and carries ``Date``, made once a second. An
+answer to a client that has already left is dropped without a word.
 
 The accept loop blocks on the listening socket and on a wake-up socket pair
 that the server owns, so ``shutdown`` stops it at once rather than at the
@@ -40,12 +43,11 @@ import socketserver
 import sys
 import threading
 import time
-from email.utils import formatdate
 from http import HTTPStatus
 from urllib.parse import parse_qsl, urlsplit
 
 from .transport import (PLAIN_TEXT, SENDER_HEADER, WireHost, _content_length, _Malformed,
-                        _message, _read_exactly, _read_head, _tokens)
+                        _message, _Reader, _tokens)
 
 # Far above any envelope or protocol document the simulated workloads send
 # (the largest is under 2 KB).
@@ -56,23 +58,34 @@ MAX_BODY_BYTES = 1 << 20
 IDLE_TIMEOUT_S = 60.0
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
+# An HTTP date names days and months in English, whatever the locale.
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date(second: int) -> str:
+    """*second* of the epoch as an IMF-fixdate (RFC 9110 §5.6.7)."""
+    t = time.gmtime(second)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
 def _make_handler(host: WireHost, quiet: bool):
-    class Handler(socketserver.StreamRequestHandler):
-        # An answer is one write, but Nagle's algorithm would still hold it
-        # back while the client has not acknowledged the connection's last
-        # segment, which its delayed ACK can put off for up to 40 ms.
-        disable_nagle_algorithm = True
-        timeout = IDLE_TIMEOUT_S
+    dated = (0, "")  # the last second an answer went out in, and its Date
 
+    class Handler(socketserver.BaseRequestHandler):
         def setup(self):
-            super().setup()
+            self.connection = self.request
+            self.connection.settimeout(IDLE_TIMEOUT_S)
+            # An answer is one write, but Nagle's algorithm would still hold
+            # it back while the client has not acknowledged the connection's
+            # last segment, which its delayed ACK can put off for up to 40 ms.
+            self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            self.reader = _Reader(self.connection)
             self.server.connections.add(self.connection)
 
         def finish(self):
             self.server.connections.discard(self.connection)
-            super().finish()
 
         def handle(self):
             try:
@@ -88,7 +101,7 @@ def _make_handler(host: WireHost, quiet: bool):
             to be closed."""
             self.requestline = self.command = ""
             try:
-                head = _read_head(self.rfile)
+                head = self.reader.head()
                 if head is None:  # the client closed the connection
                     return False
                 self.requestline, self.headers = head
@@ -127,8 +140,8 @@ def _make_handler(host: WireHost, quiet: bool):
                 raise _Malformed(413, f"Content-Length {length} exceeds {MAX_BODY_BYTES}")
             if (length and self.request_version == "HTTP/1.1"
                     and _tokens(fields.get("Expect")) == ["100-continue"]):
-                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-            return _read_exactly(self.rfile, length).decode("utf-8")
+                self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            return self.reader.exactly(length).decode("utf-8")
 
         def _serve(self, method: str) -> None:
             parts = urlsplit(self.path)
@@ -142,26 +155,32 @@ def _make_handler(host: WireHost, quiet: bool):
                 ctype, text = PLAIN_TEXT, f"bad request body: {exc}"
             else:
                 try:
-                    status, ctype, text = host.handle_request(
-                        method, parts.path, dict(parse_qsl(parts.query)), body, sender)
+                    query = dict(parse_qsl(parts.query)) if parts.query else {}
+                    status, ctype, text = host.handle_request(method, parts.path, query, body,
+                                                              sender)
                 except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the socket
                     status, ctype, text = 500, PLAIN_TEXT, f"internal error: {exc}"
             self._answer(status, ctype, text)
 
         def _answer(self, status: int, ctype: str, text: str) -> None:
+            nonlocal dated
             if not quiet:  # logged before the answer leaves, as http.server does
                 sys.stderr.write(f"{self.client_address[0]} - - "
                                  f"[{time.strftime('%d/%b/%Y %H:%M:%S')}] "
                                  f'"{self.requestline}" {status} -\n')
+            second, date = dated
+            if second != (now := int(time.time())):
+                date = _http_date(now)
+                dated = now, date
             payload = text.encode("utf-8")
-            fields = {"Date": formatdate(usegmt=True), "Content-Type": ctype,
+            fields = {"Date": date, "Content-Type": ctype,
                       "Content-Length": str(len(payload))}
             if self.close_connection:
                 fields["Connection"] = "close"
             if self.command == "HEAD":  # an answer to HEAD has no body (RFC 9110 §9.3.2)
                 payload = b""
-            self.wfile.write(_message(f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
-                                      fields, payload))
+            self.connection.sendall(_message(f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+                                             fields, payload))
 
     return Handler
 

@@ -24,11 +24,16 @@ the environment, read once per origin (``HttpClient._route``). No cookie is
 kept and no redirect is followed.
 
 The client and ``serve.HostServer`` share one HTTP/1.1 message codec (RFC
-9112): ``_read_head`` reads a start line and its header fields with the
-limits of ``http.client`` (lines of at most ``MAX_LINE`` bytes, at most
-``MAX_FIELDS`` fields), and ``_message`` builds a head and its body into the
-one buffer that goes out in one ``sendall``. ``http.client``'s connections
-only connect: the TCP connect, the proxy's ``CONNECT`` tunnel and TLS.
+9112). Each connection has one ``_Reader``: the socket and a buffer that
+``recv`` fills. It finds a head's blank line with one search and splits the
+head in one pass, within the limits of ``http.client`` (lines of at most
+``MAX_LINE`` bytes, at most ``MAX_FIELDS`` fields), and keeps the bytes
+after a message for the next one; bodies framed by length, by chunks or by
+the end of the connection are read from the same buffer. ``_message`` builds
+a head with one join, and the head and its body go out in one ``sendall``.
+The client opens its connections itself: the TCP connect, the proxy's
+``CONNECT`` tunnel, and TLS through ``ssl``, imported only for an https
+origin.
 
 Deployments use HTTPS; plain HTTP and the mem scheme exist for tests and
 simulation.
@@ -42,8 +47,7 @@ import select
 import socket
 import threading
 import time
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import BinaryIO, Callable, NamedTuple, Protocol
+from typing import Callable, NamedTuple, Protocol
 from urllib.parse import SplitResult, parse_qsl, urlsplit
 
 SENDER_HEADER = "X-Sender-Id"
@@ -70,11 +74,11 @@ class ConnectError(TransportError):
     nothing was sent, so the request may be made again."""
 
 
-def _connect_tcp(address, timeout, source_address=None) -> socket.socket:
-    """``http.client``'s TCP connect, raising ConnectError on failure so that
-    it is told apart from every later step (tunnel, TLS handshake, send)."""
+def _connect_tcp(address: tuple[str, int], timeout: float) -> socket.socket:
+    """The TCP connect, raising ConnectError on failure so that it is told
+    apart from every later step (tunnel, TLS handshake, send)."""
     try:
-        return socket.create_connection(address, timeout, source_address)
+        return socket.create_connection(address, timeout)
     except OSError as exc:
         raise ConnectError(f"cannot connect to {address[0]}:{address[1]}: {exc}") from exc
 
@@ -109,36 +113,41 @@ class _Fields(dict):
         return super().get(name.lower(), default)
 
 
-def _read_line(rfile: BinaryIO, status: int, what: str) -> bytes:
-    line = rfile.readline(MAX_LINE + 1)
-    if len(line) > MAX_LINE:
-        raise _Malformed(status, f"{what} longer than {MAX_LINE} bytes")
-    return line
-
-
-def _read_fields(rfile: BinaryIO) -> _Fields:
-    """The header (or trailer) fields up to the blank line that ends them."""
+def _parse_fields(lines: list[str]) -> _Fields:
     fields = _Fields()
-    for _ in range(MAX_FIELDS + 1):
-        line = _read_line(rfile, 431, "a header line")
-        if line in (b"\r\n", b"\n"):
-            return fields
-        name, colon, value = line.decode("latin-1").partition(":")
+    for line in lines:
+        name, colon, value = line.partition(":")
         # No whitespace before the colon, and no obsolete line folding
-        # (RFC 9112 §5.1, §5.2); EOF before the blank line ends up here too.
+        # (RFC 9112 §5.1, §5.2).
         if not colon or not name or name != name.strip():
             raise _Malformed(400, f"malformed header line {line[:80]!r}")
         name, value = name.lower(), value.strip()
         fields[name] = f"{fields[name]}, {value}" if name in fields else value
-    raise _Malformed(431, f"more than {MAX_FIELDS} header fields")
+    return fields
 
 
-def _read_head(rfile: BinaryIO) -> tuple[str, _Fields] | None:
-    """The next message's start line and fields; None at EOF before it."""
-    line = _read_line(rfile, 414, "the start line")
-    if not line:
-        return None
-    return line.decode("latin-1").rstrip("\r\n"), _read_fields(rfile)
+def _check_line(size: int, number: int, status: int) -> None:
+    """Raise when line *number* of a head (0: the start line), *size* bytes
+    long with its LF, breaks a limit: *status* for a long start line, 431
+    for a long header line or too many of them."""
+    if number > MAX_FIELDS:
+        raise _Malformed(431, f"more than {MAX_FIELDS} header fields")
+    if size > MAX_LINE:
+        what = "a header line" if number else "the start line"
+        raise _Malformed(status if number == 0 else 431, f"{what} longer than {MAX_LINE} bytes")
+
+
+def _blank_line(buf: bytearray, start: int) -> tuple[int, int]:
+    """Where the lines before the first blank line found from *start* end,
+    and where that blank line ends; (-1, -1) when none has arrived. A line
+    ends with CRLF or a bare LF."""
+    if start == 0 and buf.startswith((b"\n", b"\r\n")):
+        return 0, buf.index(b"\n") + 1
+    crlf = buf.find(b"\n\r\n", start)
+    lf = buf.find(b"\n\n", start, len(buf) if crlf < 0 else crlf + 1)
+    if lf >= 0:
+        return lf, lf + 2
+    return (crlf, crlf + 3) if crlf >= 0 else (-1, -1)
 
 
 def _tokens(value: str | None) -> list[str]:
@@ -159,80 +168,157 @@ def _content_length(fields: _Fields) -> int | None:
     return int(length)
 
 
-def _read_exactly(rfile: BinaryIO, size: int) -> bytes:
-    """*size* bytes, read at most a MiB at a time, so that a huge announced
-    size takes no memory before its bytes arrive."""
-    pieces, left = [], size
-    while left and (piece := rfile.read(min(left, 1 << 20))):
-        pieces.append(piece)
-        left -= len(piece)
-    if left:
-        raise _Malformed(400, f"the body ends after {size - left} of {size} bytes")
-    return b"".join(pieces)
+# What one recv asks for: more than any message of the simulated workloads.
+RECV_SIZE = 65536
 
 
-def _read_chunked(rfile: BinaryIO) -> bytes:
-    """A chunked body (RFC 9112 §7.1), its trailer fields read and dropped."""
-    chunks = []
-    while True:
-        size = _read_line(rfile, 400, "a chunk size line").split(b";", 1)[0].strip()
-        if not size or size.strip(b"0123456789abcdefABCDEF"):
-            raise _Malformed(400, f"bad chunk size {size[:20]!r}")
-        if not int(size, 16):
-            _read_fields(rfile)
-            return b"".join(chunks)
-        chunks.append(_read_exactly(rfile, int(size, 16)))
-        if rfile.readline(3) not in (b"\r\n", b"\n"):
-            raise _Malformed(400, "a chunk does not end with CRLF")
+class _Reader:
+    """One connection: its socket, and the bytes received on it that no
+    message has taken yet, which stay for the next one. A head is found with
+    one search for its blank line and split in one pass; a head that arrives
+    in pieces is also checked against the limits line by line as it grows."""
 
+    __slots__ = ("sock", "buf")
 
-def _read_answer(rfile: BinaryIO, method: str) -> tuple[int, bytes, bool]:
-    """Read one answer (RFC 9112 §6.3): its status, its body and whether its
-    connection may carry another request. Interim 1xx answers are skipped."""
-    status = 100
-    while 100 <= status < 200:
-        head = _read_head(rfile)
-        if head is None:
-            raise ConnectionError("the connection closed before the answer")
-        line, fields = head
-        version, _, rest = line.partition(" ")
-        if not (version.startswith("HTTP/") and rest[:3].isdigit() and rest[3:4] in ("", " ")):
-            raise _Malformed(400, f"malformed status line {line[:80]!r}")
-        status = int(rest[:3])
-    keep = version == "HTTP/1.1" and "close" not in _tokens(fields.get("connection"))
-    if method == "HEAD" or status in (204, 304):
-        return status, b"", keep
-    length = _content_length(fields)
-    if length is not None:
-        return status, _read_exactly(rfile, length), keep
-    if _tokens(fields.get("transfer-encoding"))[-1:] == ["chunked"]:
-        return status, _read_chunked(rfile), keep
-    return status, rfile.read(), False  # the body runs to the end of the connection
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        # A bytearray, so that receiving appends and taking a message drops
+        # its bytes from the front, both without copying what stays.
+        self.buf = bytearray()
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def _receive(self, size: int = RECV_SIZE) -> bool:
+        """Append up to *size* bytes from the socket; False at EOF."""
+        data = self.sock.recv(size)
+        self.buf += data
+        return bool(data)
+
+    def head(self) -> tuple[str, _Fields] | None:
+        """The next message's start line and fields; None at EOF before it.
+        Empty lines before the start line are ignored (RFC 9112 §2.2), up to
+        ``MAX_LINE`` bytes of them."""
+        buf, skipped = self.buf, 0
+        while not buf or buf[0] in b"\r\n":
+            if buf:
+                del buf[0]
+                skipped += 1
+                if skipped > MAX_LINE:
+                    raise _Malformed(414, f"more than {MAX_LINE} bytes of empty lines")
+            elif not self._receive():
+                return None
+        lines = self._lines(414)
+        return lines[0].rstrip("\r"), _parse_fields(lines[1:])
+
+    def _lines(self, status: int) -> list[str]:
+        """The lines up to the next blank line, which is taken with them,
+        decoded as Latin-1 and split at LF (a CR before it stays), within
+        the limits that ``_check_line`` sets."""
+        buf = self.buf
+        start = checked = number = 0  # buf[:checked] holds *number* lines, all checked
+        while (found := _blank_line(buf, start))[0] < 0:
+            # Check each line as it completes, so that an endless line or
+            # head fails as soon as it breaks a limit.
+            while (lf := buf.find(b"\n", checked)) >= 0:
+                _check_line(lf + 1 - checked, number, status)
+                checked, number = lf + 1, number + 1
+            if len(buf) - checked > MAX_LINE:
+                _check_line(len(buf) - checked, number, status)
+            start = max(len(buf) - 2, 0)
+            if not self._receive():
+                raise _Malformed(400, "the connection closed inside a head")
+        end, after = found
+        lines = buf[:end].decode("latin-1").split("\n") if end else []
+        del buf[:after]
+        if end >= MAX_LINE or len(lines) > MAX_FIELDS + 1:
+            for number, line in enumerate(lines[:MAX_FIELDS + 2]):
+                _check_line(len(line) + 1, number, status)
+        return lines
+
+    def exactly(self, size: int) -> bytearray:
+        """The next *size* bytes, received at most a MiB at a time, so that a
+        huge announced size takes no memory before its bytes arrive."""
+        buf = self.buf
+        while len(buf) < size:
+            if not self._receive(min(size - len(buf), 1 << 20)):
+                raise _Malformed(400, f"the body ends after {len(buf)} of {size} bytes")
+        if len(buf) == size:
+            self.buf = bytearray()
+            return buf
+        body = buf[:size]
+        del buf[:size]
+        return body
+
+    def _chunk_line(self) -> bytearray:
+        """The next line of a chunked body, without its line end."""
+        buf, start = self.buf, 0
+        while (lf := buf.find(b"\n", start)) < 0 and len(buf) <= MAX_LINE:
+            start = len(buf)
+            if not self._receive():
+                raise _Malformed(400, "the connection closed inside a chunked body")
+        if not 0 <= lf < MAX_LINE:
+            raise _Malformed(400, f"a chunk line longer than {MAX_LINE} bytes")
+        line = buf[:lf].rstrip(b"\r")
+        del buf[:lf + 1]
+        return line
+
+    def _chunked(self) -> bytes:
+        """A chunked body (RFC 9112 §7.1), its trailer fields read and dropped."""
+        chunks = []
+        while True:
+            size = self._chunk_line().split(b";", 1)[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise _Malformed(400, f"bad chunk size {bytes(size[:20])!r}")
+            if not int(size, 16):
+                _parse_fields(self._lines(431))
+                return b"".join(chunks)
+            chunks.append(self.exactly(int(size, 16)))
+            if self._chunk_line():
+                raise _Malformed(400, "a chunk does not end with CRLF")
+
+    def answer(self, method: str) -> tuple[int, bytes | bytearray, bool]:
+        """Read one answer (RFC 9112 §6.3): its status, its body and whether
+        its connection may carry another request. Interim 1xx answers are
+        skipped; a 2xx answer to CONNECT has no body, since the tunnel
+        starts after its head."""
+        status = 100
+        while 100 <= status < 200:
+            head = self.head()
+            if head is None:
+                raise ConnectionError("the connection closed before the answer")
+            line, fields = head
+            version, _, rest = line.partition(" ")
+            if not (version.startswith("HTTP/") and rest[:3].isdigit() and rest[3:4] in ("", " ")):
+                raise _Malformed(400, f"malformed status line {line[:80]!r}")
+            status = int(rest[:3])
+        keep = version == "HTTP/1.1" and "close" not in _tokens(fields.get("connection"))
+        if method == "HEAD" or status in (204, 304) or (method == "CONNECT" and status < 300):
+            return status, b"", keep
+        length = _content_length(fields)
+        if length is not None:
+            return status, self.exactly(length), keep
+        if _tokens(fields.get("transfer-encoding"))[-1:] == ["chunked"]:
+            return status, self._chunked(), keep
+        while self._receive():  # the body runs to the end of the connection
+            pass
+        body, self.buf = self.buf, bytearray()
+        return status, body, False
 
 
 def _message(start: str, fields: dict[str, str], body: bytes) -> bytes:
     """One message, head and body, as the one buffer to send."""
-    lines = [start, *(f"{name}: {value}" for name, value in fields.items())]
-    if any("\r" in line or "\n" in line for line in lines):
-        raise ValueError(f"a line break inside an HTTP head line: {lines!r}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-class _Conn(NamedTuple):
-    """An open connection and the buffered reader of its answers."""
-
-    sock: socket.socket
-    rfile: BinaryIO
-
-    def close(self) -> None:
-        self.rfile.close()
-        self.sock.close()
+    head = "\r\n".join([start, *map(": ".join, fields.items()), "", ""])
+    # The join makes len(fields) + 2 line breaks; any other splits a line.
+    if head.count("\n") != len(fields) + 2 or head.count("\r") != len(fields) + 2:
+        raise ValueError(f"a line break inside an HTTP head line: {head!r}")
+    return head.encode("latin-1") + body
 
 
 class _Route(NamedTuple):
     """How requests to one origin travel."""
 
-    connect: Callable[[float], _Conn]  # a new connection, with this timeout
+    connect: Callable[[float], _Reader]  # a new connection, with this timeout
     host: str  # the Host field: hostname[:port], the port left out when it is the default
     absolute_target: bool  # plain HTTP through a proxy: the target is the whole URL
     headers: dict[str, str]  # sent with every request: credentials for the peer or the proxy
@@ -248,7 +334,7 @@ class HttpClient:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._idle: dict[str, list[_Conn]] = {}
+        self._idle: dict[str, list[_Reader]] = {}
         self._routes: dict[str, _Route] = {}
 
     def send(self, method: str, parts: SplitResult, body: bytes,
@@ -271,15 +357,17 @@ class HttpClient:
             conn = self._checkout(origin)
             if conn is None:
                 conn = route.connect(timeout)
-            else:
+            elif conn.sock.gettimeout() != timeout:
                 conn.sock.settimeout(timeout)
             conn.sock.sendall(request)
-            status, data, keep = _read_answer(conn.rfile, method)
-        except (OSError, HTTPException, ValueError) as exc:
+            status, data, keep = conn.answer(method)
+        except (OSError, ValueError) as exc:
             if conn is not None:
                 conn.close()
             raise TransportError(f"{method} {parts.geturl()} failed: {exc!r}") from exc
-        if keep:
+        # Bytes after the answer are no answer to this client's next request
+        # (RFC 9112 §6.3): a connection that holds some is not reused.
+        if keep and not conn.buf:
             with self._lock:
                 self._idle.setdefault(origin, []).append(conn)
         else:
@@ -289,7 +377,7 @@ class HttpClient:
         except UnicodeDecodeError as exc:
             raise TransportError(f"{method} {parts.geturl()}: the answer is not UTF-8") from exc
 
-    def _checkout(self, origin: str) -> _Conn | None:
+    def _checkout(self, origin: str) -> _Reader | None:
         """The most recently used idle connection to *origin* that its peer
         has not closed, or None."""
         with self._lock:
@@ -305,8 +393,10 @@ class HttpClient:
         """The route to *origin*, read from the environment on first use.
 
         - Proxy: ``urllib.request.getproxies_environment()`` for the scheme
-          (or ``all``), unless ``proxy_bypass_environment`` matches the host.
-          The proxy is reached over plain TCP. Plain HTTP is sent to it with
+          (or ``all``), unless ``proxy_bypass_environment`` matches the host;
+          with no ``*_proxy`` variable set there is none, and
+          ``urllib.request`` is not imported. The proxy is reached over
+          plain TCP. Plain HTTP is sent to it with
           an absolute-form target; HTTPS is tunnelled with ``CONNECT``.
         - CA file: ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``; without one,
           ``ssl.create_default_context()`` trusts the system store.
@@ -333,20 +423,16 @@ class HttpClient:
 
 
 def _read_route(parts: SplitResult) -> _Route:
-    import urllib.request
-
     https = parts.scheme == "https"
     default_port = 443 if https else 80
     hostname, port = parts.hostname or "", parts.port or default_port
     if not hostname.isascii():
         hostname = hostname.encode("idna").decode("ascii")
     host = f"[{hostname}]" if ":" in hostname else hostname  # an IPv6 literal
+    authority = f"{host}:{port}"
     if port != default_port:
-        host += f":{port}"
-    proxies = urllib.request.getproxies_environment()
-    proxy = proxies.get(parts.scheme) or proxies.get("all")
-    if proxy and urllib.request.proxy_bypass_environment(host, proxies):
-        proxy = None
+        host = authority
+    proxy = _proxy(parts.scheme, host)
     proxy_headers = {}
     if proxy:
         proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
@@ -368,18 +454,41 @@ def _read_route(parts: SplitResult) -> _Route:
     else:
         headers.update(proxy_headers)  # a plain-HTTP proxy reads them from each request
 
-    def connect(timeout: float) -> _Conn:
-        if https:
-            conn = HTTPSConnection(*address, timeout=timeout, context=context)
-            if proxy:
-                conn.set_tunnel(hostname, port, headers=proxy_headers)
-        else:
-            conn = HTTPConnection(*address, timeout=timeout)
-        conn._create_connection = _connect_tcp
-        conn.connect()
-        return _Conn(conn.sock, conn.sock.makefile("rb"))
+    def connect(timeout: float) -> _Reader:
+        conn = _Reader(_connect_tcp(address, timeout))
+        try:
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if https:
+                if proxy:
+                    conn.sock.sendall(_message(f"CONNECT {authority} HTTP/1.0",
+                                               {"Host": authority, **proxy_headers}, b""))
+                    status = conn.answer("CONNECT")[0]
+                    if status != 200:
+                        raise OSError(f"the proxy answered {status} to CONNECT {authority}")
+                    if conn.buf:
+                        raise OSError("the proxy sent bytes before the TLS handshake")
+                conn = _Reader(context.wrap_socket(conn.sock, server_hostname=hostname))
+        except BaseException:
+            conn.close()
+            raise
+        return conn
 
     return _Route(connect, host, bool(proxy) and not https, headers)
+
+
+def _proxy(scheme: str, host: str) -> str | None:
+    """The proxy for *scheme* (or ``all``) from the environment, unless the
+    no-proxy list matches *host*. ``urllib.request``, which reads them, is
+    imported only when a ``*_proxy`` variable is set."""
+    if not any(name[-6:].lower() == "_proxy" for name in os.environ):
+        return None
+    import urllib.request
+
+    proxies = urllib.request.getproxies_environment()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if proxy and urllib.request.proxy_bypass_environment(host, proxies):
+        return None
+    return proxy
 
 
 def _netrc_credentials(host: str) -> tuple[str, str] | None:

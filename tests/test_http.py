@@ -638,10 +638,13 @@ class TestPool:
 
 class _RawPeer:
     """A peer that answers every request with the same raw bytes and then
-    closes the connection; it keeps the head of each request."""
+    closes the connection, or with *keep_open* leaves it open without
+    reading more; it keeps the head of each request. An answer given as a
+    list of pieces goes out one piece per segment."""
 
-    def __init__(self, answer: bytes):
-        self.answer = answer
+    def __init__(self, answer: bytes | list[bytes], keep_open: bool = False):
+        self.answer = [answer] if isinstance(answer, bytes) else answer
+        self.open: list[socket.socket] | None = [] if keep_open else None
         self.heads: list[str] = []
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
@@ -654,24 +657,35 @@ class _RawPeer:
                 sock, _ = self.listener.accept()
             except OSError:
                 return
-            with sock:
+            try:
                 head = b""
                 while b"\r\n\r\n" not in head and (chunk := sock.recv(4096)):
                     head += chunk
                 self.heads.append(head.decode("latin-1"))
-                sock.sendall(self.answer)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for number, piece in enumerate(self.answer):
+                    if number:
+                        time.sleep(0.05)
+                    sock.sendall(piece)
+            finally:
+                if self.open is None:
+                    sock.close()
+                else:
+                    self.open.append(sock)
 
     def close(self):
         self.listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
         self.listener.close()
         self.thread.join(timeout=5)
+        for sock in self.open or ():
+            sock.close()
 
 
 @pytest.fixture
 def raw_peer():
     peers = []
 
-    def start(answer: bytes) -> _RawPeer:
+    def start(answer: bytes | list[bytes]) -> _RawPeer:
         peers.append(_RawPeer(answer))
         return peers[-1]
 
@@ -894,3 +908,267 @@ class TestShutdown:
         assert not any(t.is_alive() for t in serving)
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", server.port), timeout=5)
+
+
+def _read_to_eof(sock: socket.socket) -> bytes:
+    reply = b""
+    while chunk := sock.recv(4096):
+        reply += chunk
+    return reply
+
+
+class TestReader:
+    """The one reader of a connection, on both sides: heads that arrive in
+    pieces or together, and line ends that are bare LFs."""
+
+    def test_head_that_arrives_one_byte_per_segment_is_read(self, echo_server):
+        server, host = echo_server
+        request = b"POST /pd HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 4\r\n\r\nbody"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in request:
+                sock.sendall(bytes([byte]))
+                time.sleep(0.001)
+            sock.shutdown(socket.SHUT_WR)
+            reply = _read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 200 "), reply
+        assert reply.endswith(b"\r\n\r\nbody")
+        assert host.bodies == ["body"]
+
+    def test_pipelined_requests_are_answered_in_order(self, echo_server):
+        server, host = echo_server
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(b"POST /pd HTTP/1.1\r\nContent-Length: 3\r\n\r\none"
+                         b"POST /pd HTTP/1.1\r\nContent-Length: 3\r\nConnection: close\r\n\r\ntwo")
+            reply = _read_to_eof(sock)
+        first, second = reply.split(b"HTTP/1.1 200 OK\r\n")[1:]
+        assert first.endswith(b"\r\n\r\none") and second.endswith(b"\r\n\r\ntwo"), reply
+        assert host.bodies == ["one", "two"]
+
+    def test_head_with_bare_lf_line_ends_is_answered(self, echo_server):
+        server, _ = echo_server
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(b"POST /pd HTTP/1.1\nContent-Length: 2\nConnection: close\n\nhi")
+            reply = _read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 200 "), reply
+        assert reply.endswith(b"\r\n\r\nhi")
+
+    def test_answer_whose_body_comes_in_a_later_segment_is_read_whole(self, raw_peer):
+        peer = raw_peer([b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n", b"hello", b" world"])
+        network = Network()
+        try:
+            assert network.request("GET", f"http://127.0.0.1:{peer.port}/") == (200, "hello world")
+        finally:
+            network.close()
+
+    @pytest.mark.parametrize("empty", ["\r\n", "\n", "\r\n\r\n"], ids=["crlf", "lf", "two"])
+    def test_empty_lines_before_a_request_line_are_ignored(self, echo_server, empty):
+        """RFC 9112 §2.2: a server ignores at least one empty line there."""
+        server, host = echo_server
+        reply = TestMalformedRequests._raw_request(
+            server.port, f"{empty}POST /pd HTTP/1.1\r\nContent-Length: 2\r\n", b"ok")
+        assert reply.startswith(b"HTTP/1.1 200 "), reply
+        assert host.bodies == ["ok"]
+
+    def test_empty_lines_beyond_the_line_limit_get_414(self, echo_server):
+        server, host = echo_server
+        reply = TestMalformedRequests._raw_request(
+            server.port, "\r\n" * (transport.MAX_LINE // 2 + 1) + "GET /pd HTTP/1.1\r\n")
+        assert reply.startswith(b"HTTP/1.1 414 "), reply
+        assert host.bodies == []
+
+    @pytest.mark.parametrize("answer", [b"HTTP/1.1 200 ", b"HTTP/1.1 200 OK\r\nX-Long: "],
+                             ids=["status-line", "header-line"])
+    def test_endless_line_fails_before_its_end(self, raw_peer, answer):
+        """An answer line is refused once it passes the limit, not at its
+        end, which here never comes before the peer closes."""
+        peer = raw_peer(answer + b"a" * (transport.MAX_LINE + 4096))
+        client = transport.HttpClient()
+        try:
+            with pytest.raises(TransportError, match=f"longer than {transport.MAX_LINE} bytes"):
+                client.send("GET", urlsplit(f"http://127.0.0.1:{peer.port}/"), b"", {}, 5.0)
+        finally:
+            client.close()
+
+    def test_line_break_in_a_field_value_is_not_sent(self, raw_peer):
+        peer = raw_peer(b"HTTP/1.1 204 No Content\r\n\r\n")
+        network = Network()
+        try:
+            with pytest.raises(TransportError, match="line break"):
+                network.request("GET", f"http://127.0.0.1:{peer.port}/", sender_id="a\r\nX-Evil: 1")
+        finally:
+            network.close()
+        assert peer.heads == []
+
+
+def test_bytes_after_an_answer_are_not_taken_as_the_next_answer(connects):
+    """RFC 9112 §6.3: a client must not read data after an answer as the
+    answer to a request it sends later; such a connection is not reused."""
+    peer = _RawPeer(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nevil", keep_open=True)
+    network = Network()
+    try:
+        url = f"http://127.0.0.1:{peer.port}/"
+        assert [network.request("GET", url) for _ in range(2)] == [(200, "ok")] * 2
+    finally:
+        network.close()
+        peer.close()
+    assert len(peer.heads) == 2
+    assert connects == [peer.port, peer.port]
+
+
+@pytest.fixture(scope="module")
+def tls_files(tmp_path_factory):
+    """A throwaway CA, and two certificates it signed: one for 127.0.0.1 and
+    localhost, one for another name."""
+    pytest.importorskip("cryptography")
+    import datetime
+    import ipaddress
+
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    directory = tmp_path_factory.mktemp("tls")
+    now = datetime.datetime.now(datetime.timezone.utc)
+
+    def certificate(subject, issuer, key, signing_key, names, ca):
+        builder = (x509.CertificateBuilder()
+                   .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, subject)]))
+                   .issuer_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, issuer)]))
+                   .public_key(key.public_key()).serial_number(x509.random_serial_number())
+                   .not_valid_before(now - datetime.timedelta(days=1))
+                   .not_valid_after(now + datetime.timedelta(days=1))
+                   .add_extension(x509.BasicConstraints(ca=ca, path_length=None), critical=True))
+        if names:
+            builder = builder.add_extension(x509.SubjectAlternativeName(names), critical=False)
+        return builder.sign(signing_key, hashes.SHA256())
+
+    def write(name, cert, key=None):
+        path = directory / f"{name}.pem"
+        pem = cert.public_bytes(serialization.Encoding.PEM)
+        if key is not None:
+            pem += key.private_bytes(serialization.Encoding.PEM,
+                                     serialization.PrivateFormat.PKCS8,
+                                     serialization.NoEncryption())
+        path.write_bytes(pem)
+        return str(path)
+
+    ca_key = ec.generate_private_key(ec.SECP256R1())
+    ca = certificate("test CA", "test CA", ca_key, ca_key, None, True)
+    files = {"ca": write("ca", ca)}
+    for name, names in [("loopback", [x509.DNSName("localhost"),
+                                      x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+                        ("other", [x509.DNSName("other.example")])]:
+        key = ec.generate_private_key(ec.SECP256R1())
+        files[name] = write(name, certificate(name, "test CA", key, ca_key, names, False), key)
+    return files
+
+
+class _TlsEcho:
+    """An HTTPS peer on loopback that answers each request on a kept-alive
+    connection with its body, one connection at a time."""
+
+    def __init__(self, cert_file: str):
+        import ssl
+
+        self.context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+        self.context.load_cert_chain(cert_file)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                raw, _ = self.listener.accept()
+            except OSError:
+                return
+            try:
+                with self.context.wrap_socket(raw, server_side=True) as sock:
+                    sock.settimeout(5)
+                    data = b""
+                    while True:
+                        while b"\r\n\r\n" not in data and (chunk := sock.recv(4096)):
+                            data += chunk
+                        head, _, data = data.partition(b"\r\n\r\n")
+                        if not head:
+                            break
+                        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+                        while len(data) < length:
+                            data += sock.recv(4096)
+                        body, data = data[:length], data[length:]
+                        sock.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                                     % (len(body), body))
+            except OSError:  # a failed handshake, or the client left
+                raw.close()
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+        self.listener.close()
+        self.thread.join(timeout=5)
+
+
+class TestHttps:
+    """TLS end to end: the client's own connect, on loopback."""
+
+    @pytest.mark.parametrize("hostname", ["127.0.0.1", "localhost"])
+    def test_https_answer_and_pooled_connection(self, tls_files, monkeypatch, connects,
+                                                 hostname):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", tls_files["ca"])
+        peer = _TlsEcho(tls_files["loopback"])
+        network = Network()
+        try:
+            url = f"https://{hostname}:{peer.port}/"
+            assert network.call("POST", url, "über") == "über"
+            assert network.call("POST", url, "again") == "again"
+        finally:
+            network.close()
+            peer.close()
+        assert connects == [peer.port]
+
+    def test_certificate_for_another_name_fails_once(self, tls_files, monkeypatch, connects):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", tls_files["ca"])
+        peer = _TlsEcho(tls_files["other"])
+        network = Network()
+        try:
+            with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+                network.call("POST", f"https://127.0.0.1:{peer.port}/", "text")
+        finally:
+            network.close()
+            peer.close()
+        assert connects == [peer.port]
+
+
+def test_http_date_is_the_imf_fixdate():
+    from email.utils import formatdate
+
+    for second in (0, 951782400, 1700000000, 1798761599, int(time.time())):
+        assert serve._http_date(second) == formatdate(second, usegmt=True)
+
+
+_SMALL_FOOTPRINT = """
+import sys
+from agentmesh.simulator import ScenarioConfig, run_scenario
+
+result = run_scenario(ScenarioConfig(name="http-desk", seed=3, n_users=4, server_replicas=1,
+                                     total_queries=12, transport="http"))
+assert [r.status for r in result.records] == ["success"] * 12
+print(sorted(name for name in ("http.client", "email", "ssl", "urllib.request")
+             if name in sys.modules))
+"""
+
+
+def test_runtime_over_http_loads_no_client_library():
+    """The client opens its own connections: without a ``*_proxy``
+    variable, a desk run over HTTP loads neither ``http.client``, ``email``,
+    ``ssl`` nor ``urllib.request``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    done = subprocess.run([sys.executable, "-c", _SMALL_FOOTPRINT], capture_output=True,
+                          text=True, timeout=120, env={**env, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
