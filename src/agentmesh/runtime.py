@@ -243,7 +243,8 @@ class AgentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "AgentConfig":
         """Build from a ``serve-agent`` config. Raises ValueError on a key
-        that is neither a field nor ``backend``, which the CLI reads."""
+        that is neither a field nor ``backend``, which the CLI reads, and on
+        a value of the wrong type."""
         unknown = set(raw) - {f.name for f in fields(cls)} - {"backend"}
         if unknown:
             raise ValueError(f"unknown agent config keys: {', '.join(sorted(unknown))}")
@@ -252,6 +253,10 @@ class AgentConfig:
             if key in raw and not isinstance(raw[key], types):
                 need = "a string" if types is str else "a string or null"
                 raise ValueError(f"{key} must be {need}, not {raw[key]!r}")
+        peers = raw.get("known_peers", {})
+        if not (isinstance(peers, dict) and all(
+                isinstance(name, str) and isinstance(url, str) for name, url in peers.items())):
+            raise ValueError(f"known_peers must be an object of string URLs, not {peers!r}")
         thresholds = EscalationThresholds(**raw.get("thresholds", {}))
         tools = tuple(ToolDescriptor(**t) for t in raw.get("tools", []))
         return cls(
@@ -259,7 +264,7 @@ class AgentConfig:
             model_id=raw.get("model_id", "gpt-4o"),
             thresholds=thresholds,
             tools=tools,
-            known_peers=dict(raw.get("known_peers", {})),
+            known_peers=dict(peers),
             registry_url=raw.get("registry_url"),
             pd_store=raw.get("pd_store"),
         )

@@ -3,10 +3,10 @@
 Wraps any wire host (``handle_request``) in a threading TCP server that
 speaks HTTP/1.1 through the transport's message codec, one ``_Reader`` per
 connection (the socket and a buffer that ``recv`` fills, which keeps the
-bytes after a request for the next one), so the same objects
-that back the in-process transport can be exposed on a real socket: POST /
-for envelopes, GET /.wellknown for discovery, and the registry's /pd and
-/share endpoints.
+bytes after a request for the next one), so the same objects that back the
+in-process transport can be exposed on a real socket: POST / for envelopes,
+GET /.wellknown for discovery, and the registry's /pd and /share endpoints.
+``transport.call_host`` hands each request to the host, as on ``mem://``.
 
 Connections are kept open between requests (HTTP/1.1; an HTTP/1.0 request
 only with ``Connection: keep-alive``); one that stays silent for
@@ -30,24 +30,23 @@ Empty lines before a request line are ignored (RFC 9112 §2.2).
 answer goes out in one write and carries ``Date``, made once a second. An
 answer to a client that has already left is dropped without a word.
 
-The accept loop blocks on the listening socket and on a wake-up socket pair
-that the server owns, so ``shutdown`` stops it at once rather than at the
-next poll; it then ends the kept-alive connections and releases the port.
+The one accept loop blocks on the listening socket and on a wake-up socket
+pair that the server owns, so ``shutdown`` stops it at once rather than at
+the next poll; each connection it accepts is served by a daemon thread.
 """
 
 from __future__ import annotations
 
 import selectors
 import socket
-import socketserver
 import sys
 import threading
 import time
 from http import HTTPStatus
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import urlsplit
 
 from .transport import (PLAIN_TEXT, SENDER_HEADER, WireHost, _content_length, _Malformed,
-                        _message, _Reader, _tokens)
+                        _message, _Reader, _tokens, call_host)
 
 # Far above any envelope or protocol document the simulated workloads send
 # (the largest is under 2 KB).
@@ -73,27 +72,19 @@ def _http_date(second: int) -> str:
 def _make_handler(host: WireHost, quiet: bool):
     dated = (0, "")  # the last second an answer went out in, and its Date
 
-    class Handler(socketserver.BaseRequestHandler):
-        def setup(self):
-            self.connection = self.request
-            self.connection.settimeout(IDLE_TIMEOUT_S)
+    class Handler:
+        def __init__(self, connection: socket.socket, client_address):
+            self.connection = connection
+            self.client_address = client_address
+            connection.settimeout(IDLE_TIMEOUT_S)
             # An answer is one write, but Nagle's algorithm would still hold
             # it back while the client has not acknowledged the connection's
             # last segment, which its delayed ACK can put off for up to 40 ms.
-            self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
-            self.reader = _Reader(self.connection)
-            self.server.connections.add(self.connection)
-
-        def finish(self):
-            self.server.connections.discard(self.connection)
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            self.reader = _Reader(connection)
 
         def handle(self):
-            try:
-                while self._handle_one():
-                    pass
-            except OSError:
-                # The connection timed out in silence, or the client left,
-                # perhaps before its answer: the connection is closed.
+            while self._handle_one():
                 pass
 
         def _handle_one(self) -> bool:
@@ -144,8 +135,6 @@ def _make_handler(host: WireHost, quiet: bool):
             return self.reader.exactly(length).decode("utf-8")
 
         def _serve(self, method: str) -> None:
-            parts = urlsplit(self.path)
-            sender = self.headers.get(SENDER_HEADER)
             try:
                 body = self._read_body()
             except ValueError as exc:  # _Malformed, and UnicodeDecodeError
@@ -154,12 +143,8 @@ def _make_handler(host: WireHost, quiet: bool):
                 status = exc.status if isinstance(exc, _Malformed) else 400
                 ctype, text = PLAIN_TEXT, f"bad request body: {exc}"
             else:
-                try:
-                    query = dict(parse_qsl(parts.query)) if parts.query else {}
-                    status, ctype, text = host.handle_request(method, parts.path, query, body,
-                                                              sender)
-                except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the socket
-                    status, ctype, text = 500, PLAIN_TEXT, f"internal error: {exc}"
+                status, ctype, text = call_host(host, method, urlsplit(self.path), body,
+                                                self.headers.get(SENDER_HEADER))
             self._answer(status, ctype, text)
 
         def _answer(self, status: int, ctype: str, text: str) -> None:
@@ -185,45 +170,55 @@ def _make_handler(host: WireHost, quiet: bool):
     return Handler
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True  # a restarted server takes its port back at once
-    daemon_threads = True
-
-
 class HostServer:
     """A wire host bound to a TCP port; serve inline or in a daemon thread."""
 
     def __init__(self, host: WireHost, port: int = 0, bind: str = "127.0.0.1",
                  quiet: bool = True):
-        self._server = _Server((bind, port), _make_handler(host, quiet))
-        # The handlers' sockets, so that shutdown can end the kept-alive ones.
-        self._server.connections = set()
+        self._handler = _make_handler(host, quiet)
+        # With SO_REUSEADDR, so that a restarted server takes its port back at once.
+        self._listener = socket.create_server((bind, port))
+        address, self.port = self._listener.getsockname()[:2]
+        self.url = f"http://{address}:{self.port}"
+        # The served connections, so that shutdown can end the kept-alive ones.
+        self._connections: set[socket.socket] = set()
         # shutdown writes a byte to the one end; the accept loop wakes on the other.
         self._wake_reader, self._wake_writer = socket.socketpair()
         self._thread: threading.Thread | None = None
 
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        address, port = self._server.server_address[:2]
-        return f"http://{address}:{port}"
-
     def serve_forever(self) -> None:
         """Accept connections until ``shutdown`` is called."""
         with selectors.DefaultSelector() as selector:
-            selector.register(self._server.socket, selectors.EVENT_READ)
+            selector.register(self._listener, selectors.EVENT_READ)
             selector.register(self._wake_reader, selectors.EVENT_READ)
             while True:
                 ready = {key.fileobj for key, _ in selector.select()}
                 if self._wake_reader in ready:
                     return
-                # The listener is readable and the server has no timeout,
-                # so this accepts at once and hands the connection to a
-                # handler thread.
-                self._server.handle_request()
+                try:
+                    connection, address = self._listener.accept()
+                except OSError:  # the client has left, or no descriptor is free
+                    continue
+                self._connections.add(connection)  # before its thread starts: shutdown must see it
+                try:
+                    threading.Thread(target=self._serve_connection, args=(connection, address),
+                                     name="HostServer connection", daemon=True).start()
+                except RuntimeError:  # no thread can be started now
+                    self._connections.discard(connection)
+                    connection.close()
+
+    def _serve_connection(self, connection: socket.socket, address) -> None:
+        try:
+            self._handler(connection, address).handle()
+        except OSError:
+            pass  # it timed out in silence, or the client left, perhaps before its answer
+        finally:
+            self._connections.discard(connection)
+            try:  # SHUT_WR first, so that the peer reads EOF after the last answer
+                connection.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the peer has gone
+            connection.close()
 
     def start_background(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -240,11 +235,11 @@ class HostServer:
             return
         if self._thread is not None:
             self._thread.join(timeout=5)
-        for connection in list(self._server.connections):
+        for connection in list(self._connections):
             try:
                 connection.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass  # its handler has closed it already
-        self._server.server_close()
+                pass  # its thread has closed it already
+        self._listener.close()
         self._wake_reader.close()
         self._wake_writer.close()

@@ -6,7 +6,8 @@ routes client calls either to registered in-process hosts (``mem://name``
 URLs, the deterministic default for simulations) or over real HTTP(S).
 ``Network.request`` returns the raw status and text; ``Network.call``
 returns the text of a 200 answer and raises ``StatusError`` on any other.
-A host that raises is answered with 500 on both transports.
+Both transports hand a request to its host through ``call_host``, which
+reads an empty path as ``/`` and answers a host that raises with 500.
 
 HTTP(S) goes through ``HttpClient``. It keeps a lock-guarded list of idle
 connections per origin (``scheme://host:port``), shared by every thread
@@ -518,6 +519,17 @@ class WireHost(Protocol):
                        body: str, sender_id: str | None) -> tuple[int, str, str]: ...
 
 
+def call_host(host: WireHost, method: str, parts: SplitResult, body: str,
+              sender_id: str | None) -> tuple[int, str, str]:
+    """*host*'s answer to a request for the URL *parts*: its query parsed, an
+    empty path read as ``/`` (RFC 9110 §4.2.3), a raise answered with 500."""
+    try:
+        query = dict(parse_qsl(parts.query)) if parts.query else {}
+        return host.handle_request(method, parts.path or "/", query, body, sender_id)
+    except Exception as exc:  # noqa: BLE001 - a host's bug must not break its transport
+        return 500, PLAIN_TEXT, f"internal error: {exc}"
+
+
 class Network:
     """Routes requests by URL scheme: mem:// to in-process hosts, http(s)://
     to the wire. One instance is shared by all agents of a simulation."""
@@ -536,7 +548,11 @@ class Network:
                 sender_id: str | None = None) -> tuple[int, str]:
         parts = urlsplit(url)
         if parts.scheme == "mem":
-            return self._request_local(method, parts, body, sender_id)
+            host = self._hosts.get(parts.netloc)
+            if host is None:
+                raise TransportError(f"no in-process host named {parts.netloc!r}")
+            status, _ctype, text = call_host(host, method, parts, body, sender_id)
+            return status, text
         if parts.scheme in ("http", "https"):
             return self._request_http(method, url, parts, body, sender_id)
         raise TransportError(f"unsupported URL scheme: {url!r}")
@@ -549,17 +565,6 @@ class Network:
         if status != 200:
             raise StatusError(f"{method} {url} -> {status}: {text[:200]}")
         return text
-
-    def _request_local(self, method, parts, body, sender_id) -> tuple[int, str]:
-        host = self._hosts.get(parts.netloc)
-        if host is None:
-            raise TransportError(f"no in-process host named {parts.netloc!r}")
-        query = dict(parse_qsl(parts.query)) if parts.query else {}
-        try:
-            status, _ctype, text = host.handle_request(method, parts.path or "/", query, body, sender_id)
-        except Exception as exc:  # noqa: BLE001 - answered as HostServer answers it
-            return 500, f"internal error: {exc}"
-        return status, text
 
     def _request_http(self, method, url, parts, body, sender_id) -> tuple[int, str]:
         headers = {"Content-Type": "application/json"}

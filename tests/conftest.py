@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import errno
+import os
 
 import pytest
+from hypothesis import settings
 
 from agentmesh import catalog, documents
 from agentmesh.gateway import CostLedger, ModelPrice
@@ -17,6 +19,11 @@ WEATHER_TEXT = catalog.WEATHER_PD_TEXT
 # JSON nested far deeper than the decoder can follow.
 DEEP = "[" * 100_000 + "]" * 100_000
 FLAT_PRICES = {"gpt-4o": ModelPrice(5.0, 15.0)}
+
+# HYPOTHESIS_PROFILE=long runs every property test without an example count
+# of its own on many more examples than tier-1 does.
+settings.register_profile("long", max_examples=5_000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -289,6 +289,8 @@ class TestServeCommands:
             ("pd_store", ["store"], "pd_store"),
             ("agent_id", 7, "agent_id"),
             ("model_id", "gpt-5-unpriced", "gpt-5-unpriced"),
+            ("known_peers", {"bob": 5}, "known_peers"),
+            ("known_peers", [["bob", "http://127.0.0.1:8801"]], "known_peers"),
         )
         monkeypatch.setattr(HostServer, "serve_forever",
                             lambda self: pytest.fail("served a bad config"))

@@ -1,6 +1,7 @@
 """Endpoint conformance over real sockets."""
 
 import base64
+import errno
 import json
 import os
 import re
@@ -327,6 +328,31 @@ class TestHostFault:
         assert answers == [(500, "internal error: boom")] * 2
 
 
+class _Paths:
+    """A wire host that answers with the path and query it was handed."""
+
+    def handle_request(self, method, path, query, body, sender_id):
+        return 200, "text/plain", f"{method} {path!r} {query}"
+
+
+def test_empty_path_reads_as_root_on_both_transports():
+    """RFC 9110 §4.2.3: an empty path is ``/``, for the in-process host and
+    for an absolute-form request target on the wire."""
+    network = Network()
+    network.register("paths", _Paths())
+    server = HostServer(_Paths())
+    server.start_background()
+    try:
+        mem = [network.request("POST", url) for url in ("mem://paths", "mem://paths?a=1")]
+        http = [TestMalformedRequests._raw_request(server.port, f"POST {target} HTTP/1.1\r\n")
+                for target in (server.url, f"{server.url}?a=1")]
+    finally:
+        server.shutdown()
+    assert mem == [(200, "POST '/' {}"), (200, "POST '/' {'a': '1'}")]
+    for reply, (_, text) in zip(http, mem):
+        assert reply.startswith(b"HTTP/1.1 200 ") and reply.endswith(text.encode()), reply
+
+
 class TestNetworkOverHttp:
     def test_connection_is_kept_open(self, registry_server, connects):
         server, _ = registry_server
@@ -456,8 +482,9 @@ def _stop(httpd: ThreadingHTTPServer) -> None:
 
 
 def _handler_threads(existing):
+    """The connection threads of HostServers started since *existing*."""
     return [t for t in threading.enumerate()
-            if t not in existing and "process_request_thread" in t.name]
+            if t not in existing and t.name == "HostServer connection"]
 
 
 def _wait_for(condition, seconds=5.0):
@@ -808,27 +835,6 @@ def test_runtime_imports_neither_requests_nor_urllib3():
     assert done.stdout.strip() == "[]"
 
 
-_NO_STDLIB_SERVER = """
-import sys
-from agentmesh.simulator import ScenarioConfig, run_scenario
-
-result = run_scenario(ScenarioConfig(name="http-desk", seed=3, n_users=4, server_replicas=1,
-                                     total_queries=12, transport="http"))
-assert [r.status for r in result.records] == ["success"] * 12
-print("http.server" in sys.modules)
-"""
-
-
-def test_runtime_serves_without_the_stdlib_http_server():
-    """HostServer speaks HTTP through the transport's codec; a desk run over
-    HTTP must not load ``http.server``."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-c", _NO_STDLIB_SERVER], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
-
-
 class TestClientGone:
     def test_answer_to_a_client_that_left_is_dropped_quietly(self, capfd):
         existing = set(threading.enumerate())
@@ -908,6 +914,53 @@ class TestShutdown:
         assert not any(t.is_alive() for t in serving)
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", server.port), timeout=5)
+
+
+class TestAcceptLoop:
+    """socketserver's fault handling, kept by the one accept loop."""
+
+    def test_failed_accept_is_skipped(self, monkeypatch):
+        server = HostServer(_Fixed("up"))
+        server.start_background()
+        accept, failed = socket.socket.accept, []
+
+        def accept_failing_once(sock):
+            if not failed:
+                failed.append(sock.getsockname()[1])
+                raise OSError(errno.EMFILE, "Too many open files")
+            return accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept_failing_once)
+        network = Network()
+        try:
+            assert network.request("GET", server.url + "/") == (200, "up")
+        finally:
+            network.close()
+            server.shutdown()
+        assert failed == [server.port]
+
+    def test_connection_whose_thread_cannot_start_is_closed(self, monkeypatch):
+        server = HostServer(_Fixed("up"))
+        server.start_background()
+        start, failed = threading.Thread.start, []
+
+        def start_failing_once(thread):
+            if not failed:
+                failed.append(thread.name)
+                raise RuntimeError("can't start new thread")
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_failing_once)
+        network = Network()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as dropped:
+                assert dropped.recv(1) == b""
+            # The loop goes on accepting: the next connection is served.
+            assert network.request("GET", server.url + "/") == (200, "up")
+        finally:
+            network.close()
+            server.shutdown()
+        assert failed == ["HostServer connection"]
 
 
 def _read_to_eof(sock: socket.socket) -> bytes:
@@ -1156,15 +1209,16 @@ from agentmesh.simulator import ScenarioConfig, run_scenario
 result = run_scenario(ScenarioConfig(name="http-desk", seed=3, n_users=4, server_replicas=1,
                                      total_queries=12, transport="http"))
 assert [r.status for r in result.records] == ["success"] * 12
-print(sorted(name for name in ("http.client", "email", "ssl", "urllib.request")
-             if name in sys.modules))
+print(sorted(name for name in ("http.server", "http.client", "email", "ssl", "urllib.request",
+                               "socketserver") if name in sys.modules))
 """
 
 
-def test_runtime_over_http_loads_no_client_library():
-    """The client opens its own connections: without a ``*_proxy``
-    variable, a desk run over HTTP loads neither ``http.client``, ``email``,
-    ``ssl`` nor ``urllib.request``."""
+def test_runtime_over_http_loads_no_stdlib_http_module():
+    """Both sides speak HTTP through the transport's own codec, and the
+    client opens its own connections: without a ``*_proxy`` variable, a desk
+    run over HTTP loads neither ``http.server``, ``http.client``, ``email``,
+    ``ssl``, ``urllib.request`` nor ``socketserver``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {name: value for name, value in os.environ.items()
            if not name.lower().endswith("_proxy")}
