@@ -1209,20 +1209,32 @@ from agentmesh.simulator import ScenarioConfig, run_scenario
 result = run_scenario(ScenarioConfig(name="http-desk", seed=3, n_users=4, server_replicas=1,
                                      total_queries=12, transport="http"))
 assert [r.status for r in result.records] == ["success"] * 12
-print(sorted(name for name in ("http.server", "http.client", "email", "ssl", "urllib.request",
-                               "socketserver") if name in sys.modules))
+print(sorted(name for name in sys.argv[1:] if name in sys.modules))
 """
 
 
-def test_runtime_over_http_loads_no_stdlib_http_module():
-    """Both sides speak HTTP through the transport's own codec, and the
-    client opens its own connections: without a ``*_proxy`` variable, a desk
-    run over HTTP loads neither ``http.server``, ``http.client``, ``email``,
-    ``ssl``, ``urllib.request`` nor ``socketserver``."""
+def _modules_loaded_by_a_desk_run_over_http(*names: str) -> str:
+    """Run a small desk scenario over HTTP in a fresh interpreter, without a
+    ``*_proxy`` variable, and report which of *names* it loaded."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {name: value for name, value in os.environ.items()
            if not name.lower().endswith("_proxy")}
-    done = subprocess.run([sys.executable, "-c", _SMALL_FOOTPRINT], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", _SMALL_FOOTPRINT, *names], capture_output=True,
                           text=True, timeout=120, env={**env, "PYTHONPATH": str(src)})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_runtime_over_http_loads_no_client_library():
+    """The client opens its own connections: without a ``*_proxy``
+    variable, a desk run over HTTP loads neither ``http.client``, ``email``,
+    ``ssl`` nor ``urllib.request``."""
+    assert _modules_loaded_by_a_desk_run_over_http(
+        "http.client", "email", "ssl", "urllib.request") == "[]"
+
+
+def test_runtime_serves_without_the_stdlib_http_server():
+    """HostServer speaks HTTP through the transport's codec and accepts its
+    own connections; a desk run over HTTP loads neither ``http.server`` nor
+    ``socketserver``."""
+    assert _modules_loaded_by_a_desk_run_over_http("http.server", "socketserver") == "[]"
