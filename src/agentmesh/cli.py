@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import faulthandler
 import json
 import os
+import signal
 import sys
 from dataclasses import asdict, replace
 
@@ -114,12 +116,16 @@ def _build_backend(raw: dict, model_id: str):
 
 def _serve(host, args, label: str) -> int:
     """Bind *host* to ``args.port`` on ``args.bind`` and serve it until
-    Ctrl-C."""
+    Ctrl-C. Where the platform has SIGQUIT, it prints every thread's stack
+    to stderr before its default action ends the process, so that a server
+    that does not stop shows where it is stuck."""
     try:
         server = HostServer(host, port=args.port, bind=args.bind, quiet=False)
     except OSError as exc:
         _err(f"cannot bind port {args.port}: {exc}")
         return EXIT_BIND
+    if hasattr(signal, "SIGQUIT"):
+        faulthandler.register(signal.SIGQUIT, all_threads=True, chain=True)
     print(f"serving {label} on {server.url}")
     try:
         server.serve_forever()

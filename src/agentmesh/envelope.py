@@ -14,6 +14,8 @@ directly, quoting strings with the function ``json.dumps(..., ensure_ascii=
 False)`` uses, so it equals compact ``json.dumps`` of the fields; they refuse
 a body or source that is not a string, which every decoder would reject.
 Decoders accept any key order but reject unknown keys to surface drift early.
+A decoded response's ``status`` is the module's own ``STATUS_*`` constant, not
+a fresh string, so the records that keep it share one object per status.
 
 The ``/.wellknown`` payload is a plain JSON object that maps each supported
 protocol hash to a non-empty list of sources, written with sorted keys; in
@@ -32,6 +34,7 @@ STATUS_SUCCESS = "success"
 STATUS_FAILURE = "failure"
 STATUS_REJECTED = "rejected"
 VALID_STATUSES = frozenset({STATUS_SUCCESS, STATUS_FAILURE, STATUS_REJECTED})
+_STATUS_CONSTANTS = {s: s for s in VALID_STATUSES}
 _REQUEST_FIELDS = frozenset({"protocolHash", "protocolSources", "body"})
 _RESPONSE_FIELDS = frozenset({"status", "body"})
 _MISSING = object()
@@ -49,14 +52,14 @@ class DecodeError(EnvelopeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestEnvelope:
     protocol_hash: str | None = None
     protocol_sources: tuple[str, ...] = ()
     body: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseEnvelope:
     status: str
     body: str | None = None
@@ -156,17 +159,18 @@ def decode_response(text: str) -> ResponseEnvelope:
     if status is _MISSING:
         raise DecodeError("missing response field: status")
 
-    # An unhashable status (a list, say) would make the set test raise TypeError.
-    if not isinstance(status, str) or status not in VALID_STATUSES:
+    # An unhashable status (a list, say) would make the lookup raise TypeError.
+    known = _STATUS_CONSTANTS.get(status) if isinstance(status, str) else None
+    if known is None:
         raise DecodeError(f"unknown status: {status!r}")
     body = raw.get("body")
     if body is not None:
         if not isinstance(body, str):
             raise DecodeError("body must be a string when present")
-        if status == STATUS_REJECTED:
+        if known == STATUS_REJECTED:
             raise DecodeError("rejected responses carry no body")
 
-    return ResponseEnvelope(status, body)
+    return ResponseEnvelope(known, body)
 
 
 # ── wellknown discovery payload ──────────────────────────────────────

@@ -37,7 +37,7 @@ class Message(NamedTuple):
     content: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenUsage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -118,7 +118,7 @@ class UnknownModelError(Exception):
     """model_id missing from the price table."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerRecord:
     index: int
     model_id: str
@@ -168,6 +168,11 @@ class CostLedger:
     def total(self) -> float:
         with self._lock:
             return self._total
+
+    def tally(self) -> tuple[int, float]:
+        """The record count and the total, read together."""
+        with self._lock:
+            return len(self._records), self._total
 
     def totals(self) -> tuple[float, dict[str, float]]:
         """The total and a copy of the per-activity totals, read together."""

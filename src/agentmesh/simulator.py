@@ -159,7 +159,7 @@ class ScenarioConfig:
         return config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRecord:
     index: int
     user_id: str
@@ -341,14 +341,13 @@ class Scenario:
     def run_task(self, index: int, task: QueryTask) -> MetricsRecord:
         agent = self.agents[task.user_id]
         description = catalog.CATALOG[task.task_type].task_description
-        before_records = len(self.ledger)
-        before_cost = self.ledger.total
+        before_records, before_cost = self.ledger.tally()
         started = time.perf_counter()
         response, mode = agent.send_task(task.target_server_id, task.task_type,
                                          task.payload, description)
         duration = time.perf_counter() - started
-        cumulative_cost = self.ledger.total
-        invocations = len(self.ledger) - before_records
+        after_records, cumulative_cost = self.ledger.tally()
+        invocations = after_records - before_records
         return MetricsRecord(
             index=index,
             user_id=task.user_id,
@@ -356,7 +355,9 @@ class Scenario:
             task_type=task.task_type,
             mode=mode,
             status=response.status,
-            cost=cumulative_cost - before_cost,
+            # A query that charged nothing shares one 0.0 rather than keeping
+            # its own copy of the same difference.
+            cost=cumulative_cost - before_cost if invocations else 0.0,
             cumulative_cost=cumulative_cost,
             model_invocations=invocations,
             routine_hit=invocations == 0,

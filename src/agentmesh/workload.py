@@ -35,7 +35,7 @@ class WorkloadSpec:
             raise ValueError("total_query_cap must cover at least one query per user")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryTask:
     user_id: str
     target_server_id: str

@@ -329,23 +329,10 @@ class TestServeCommands:
 
     def test_serve_agent_endpoint_live(self, tmp_path):
         """End to end through the console entry: wellknown answers."""
-        import requests
         port = _free_port()
-        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        with subprocess.Popen(
-                [sys.executable, "-m", "agentmesh.cli", "serve-agent",
-                 os.path.join(CONFIGS, "agent_weather.json"), "--port", str(port)],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        with _serve_agent(port, tmp_path) as proc:
             try:
-                wk = None
-                for _ in range(50):
-                    try:
-                        wk = requests.get(f"http://127.0.0.1:{port}/.wellknown", timeout=1)
-                        break
-                    except requests.RequestException:
-                        time.sleep(0.1)
+                wk = _wellknown(port)
                 assert wk is not None and wk.status_code == 200
                 assert isinstance(wk.json(), dict)
             finally:
@@ -354,9 +341,55 @@ class TestServeCommands:
                 try:
                     _, err = proc.communicate(timeout=10)
                 except subprocess.TimeoutExpired:
-                    proc.kill()
-                    raise
+                    pytest.fail("serve-agent did not exit within 10 s of SIGINT; "
+                                f"its threads:\n{_stack_dump(proc)}")
         assert proc.returncode == 0, err
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGQUIT"), reason="the platform has no SIGQUIT")
+    def test_serve_agent_dumps_its_threads_on_sigquit(self, tmp_path):
+        port = _free_port()
+        with _serve_agent(port, tmp_path) as proc:
+            try:
+                assert _wellknown(port) is not None
+            finally:
+                dump = _stack_dump(proc)
+        assert proc.returncode == -signal.SIGQUIT, dump
+        assert "thread 0x" in dump and 'File "' in dump and "serve_forever" in dump
+
+
+def _serve_agent(port: int, cwd) -> subprocess.Popen:
+    """``serve-agent`` with the weather config on *port*, run from *cwd* so
+    that a core file its SIGQUIT may leave lands there."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.Popen(
+        [sys.executable, "-m", "agentmesh.cli", "serve-agent",
+         os.path.abspath(os.path.join(CONFIGS, "agent_weather.json")), "--port", str(port)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=cwd)
+
+
+def _wellknown(port: int):
+    """The server's ``/.wellknown`` answer, or None if it never answered."""
+    import requests
+    for _ in range(50):
+        try:
+            return requests.get(f"http://127.0.0.1:{port}/.wellknown", timeout=1)
+        except requests.RequestException:
+            time.sleep(0.1)
+    return None
+
+
+def _stack_dump(proc: subprocess.Popen) -> str:
+    """Send SIGQUIT, which ``serve-agent`` answers by writing every thread's
+    stack to stderr; return what stderr gave within 5 s, then end *proc*."""
+    proc.send_signal(signal.SIGQUIT)
+    try:
+        _, err = proc.communicate(timeout=5)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        _, err = proc.communicate()
+    return err.decode("utf-8", "replace")
 
 
 def _load_agent_config(path):

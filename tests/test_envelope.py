@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agentmesh.documents import compute_hash
-from agentmesh.envelope import (DecodeError, EncodeError, RequestEnvelope,
+from agentmesh.envelope import (STATUS_FAILURE, STATUS_REJECTED, STATUS_SUCCESS,
+                                DecodeError, EncodeError, RequestEnvelope,
                                 ResponseEnvelope, build_wellknown,
                                 decode_request, decode_response, encode_request,
                                 encode_response, parse_wellknown)
@@ -128,6 +129,10 @@ class TestResponses:
     def test_failure_round_trip(self):
         env = ResponseEnvelope("failure", "backend down")
         assert decode_response(encode_response(env)) == env
+
+    @pytest.mark.parametrize("constant", [STATUS_SUCCESS, STATUS_FAILURE, STATUS_REJECTED])
+    def test_decoded_status_is_the_module_constant(self, constant):
+        assert decode_response(f'{{"status":"{constant}"}}').status is constant
 
 
 _hashes = st.text("0123456789abcdef", min_size=40, max_size=40)

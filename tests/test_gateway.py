@@ -91,6 +91,13 @@ class TestLedger:
         assert summarize(ledger).total == ledger.total
         assert summarize(ledger).activity_totals == activity_sums_in_record_order(ledger)
 
+    def test_tally_reads_count_and_total_together(self):
+        ledger = CostLedger()
+        assert ledger.tally() == (0, 0.0)
+        for i in range(5):
+            ledger.charge("gpt-4o", TokenUsage(100 * i, 7), Activity.NATURAL_LANGUAGE)
+        assert ledger.tally() == (len(ledger), ledger.total) == (5, added_in_record_order(ledger))
+
     def test_append_only_indexing(self):
         ledger = CostLedger()
         for _ in range(4):

@@ -18,7 +18,7 @@ import pytest
 from agentmesh import catalog, simulator
 from agentmesh.documents import compute_hash
 from agentmesh.envelope import STATUS_REJECTED, STATUS_SUCCESS, RequestEnvelope
-from agentmesh.gateway import Activity
+from agentmesh.gateway import Activity, CostLedger
 from agentmesh.simulator import (Scenario, ScenarioConfig, break_even_point,
                                  build_workload, chain_config, emit_report, run_paired,
                                  run_scenario, run_two_agent_demo, window_average)
@@ -90,6 +90,34 @@ class TestScenarioRuns:
         first = run_scenario(SMALL)
         second = run_scenario(SMALL)
         assert first.signature() == second.signature()
+
+    def test_routine_hits_share_one_zero_cost(self):
+        records = run_scenario(SMALL).records
+        hits = [r for r in records if r.routine_hit]
+        assert hits and all(r.cost == 0.0 for r in hits)
+        assert len({id(r.cost) for r in hits}) == 1
+        assert len({id(r.status) for r in records if r.status == STATUS_SUCCESS}) == 1
+
+    def test_run_task_reads_the_ledger_twice(self, monkeypatch):
+        tasks, _ = build_workload(SMALL)
+        reads = Counter()
+
+        def spy(name, read):
+            def counted(self, *args):
+                reads[name] += 1
+                return read(self, *args)
+            return counted
+
+        scenario = Scenario(SMALL)
+        try:
+            monkeypatch.setattr(CostLedger, "tally", spy("tally", CostLedger.tally))
+            monkeypatch.setattr(CostLedger, "__len__", spy("len", CostLedger.__len__))
+            monkeypatch.setattr(CostLedger, "total", property(spy("total", CostLedger.total.fget)))
+            for index, task in enumerate(tasks[:10]):
+                scenario.run_task(index, task)
+        finally:
+            scenario.close()
+        assert reads == {"tally": 20}
 
     def test_declining_model_usage(self, desk_pair):
         agora, _ = desk_pair
