@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .documents import ProtocolMetadata, render_document
-from .routines import compile_template
+from .routines import RECEIVER, SENDER, Routine, RoutineStep, compile_template
 
 # ── deterministic value derivation ───────────────────────────────────
 
@@ -304,11 +304,16 @@ class TaskType:
     question_template: str          # over the input fields
     answer_template: str            # over the input and output fields
     make_payload: Callable[..., dict]
-    steps: tuple[dict, ...]         # tool step templates ($-references)
-    output_template: dict
+    tool: str = ""                  # a one-step task's tool
+    steps: tuple[dict, ...] = ()    # tool step templates ($-references)
+    output_template: dict | None = None
     server_tools: tuple[dict, ...] = ()   # extra descriptors (external deps)
 
     def __post_init__(self):
+        if self.tool:   # one step: the input's fields in, the result's fields out
+            object.__setattr__(self, "steps", ({
+                "tool": self.tool, "args": _fields_of("input", self.input_schema), "bind": "result"},))
+            object.__setattr__(self, "output_template", _fields_of("result", self.output_schema))
         # Each template is compiled once, when the catalog is built; ``plan``
         # holds each step as (tool, args resolver, bind).
         object.__setattr__(self, "_question", _Template(self.question_template, self.input_schema))
@@ -376,16 +381,17 @@ Output:
 """
 
 
+def _fields_of(binding: str, schema: dict) -> dict:
+    """A template taking each field of *schema* from the same field of *binding*."""
+    return {name: f"${binding}.{name}" for name in schema["properties"]}
+
+
 def _schema(**props) -> dict:
     return {
         "type": "object",
         "required": list(props),
         "properties": {k: {"type": t, "doc": d} for k, (t, d) in props.items()},
     }
-
-
-def _passthrough_output(fields) -> dict:
-    return {name: f"$result.{name}" for name in fields}
 
 
 CATALOG: dict[str, TaskType] = {}
@@ -491,9 +497,7 @@ _register(TaskType(
     question_template="What is the weather forecast for {location} on {date}?",
     answer_template='The weather forecast for {location}, on {date} is as follows: "{weatherCondition_cap}, {temperature} degrees Celsius, with a precipitation of {precipitation} mm."',
     make_payload=lambda rng: {"location": rng.choice(CITIES), "date": rng.choice(DATES)},
-    steps=({"tool": "weather_db", "args": {"location": "$input.location", "date": "$input.date"},
-            "bind": "result"},),
-    output_template=_passthrough_output(("temperature", "precipitation", "weatherCondition")),
+    tool="weather_db",
 ))
 
 _register(TaskType(
@@ -521,9 +525,7 @@ _register(TaskType(
         "dropoff": rng.choice(PLACES),
         "time": rng.choice(TIMES),
     },
-    steps=({"tool": "taxi_dispatch", "args": {"pickup": "$input.pickup", "dropoff": "$input.dropoff",
-                                              "time": "$input.time"}, "bind": "result"},),
-    output_template=_passthrough_output(("fare", "eta_minutes", "driver")),
+    tool="taxi_dispatch",
 ))
 
 _register(TaskType(
@@ -553,10 +555,7 @@ _register(TaskType(
         "nights": rng.randint(1, 7),
         "guests": rng.randint(1, 4),
     },
-    steps=({"tool": "hotel_db", "args": {"city": "$input.city", "check_in": "$input.check_in",
-                                         "nights": "$input.nights", "guests": "$input.guests"},
-            "bind": "result"},),
-    output_template=_passthrough_output(("hotel", "price_per_night", "available")),
+    tool="hotel_db",
 ))
 
 _register(TaskType(
@@ -585,10 +584,7 @@ _register(TaskType(
         "date": rng.choice(DATES),
         "seats": rng.randint(1, 5),
     },
-    steps=({"tool": "box_office", "args": {"movie": "$input.movie", "city": "$input.city",
-                                           "date": "$input.date", "seats": "$input.seats"},
-            "bind": "result"},),
-    output_template=_passthrough_output(("confirmation", "price_total")),
+    tool="box_office",
 ))
 
 _register(TaskType(
@@ -610,8 +606,7 @@ _register(TaskType(
     question_template="What is the current traffic situation in {area}?",
     answer_template="Traffic in {area}: {congestion_level} congestion, average speed {average_speed_kmh} km/h, {incident_count} incidents reported.",
     make_payload=lambda rng: {"area": rng.choice(AREAS)},
-    steps=({"tool": "traffic_db", "args": {"area": "$input.area"}, "bind": "result"},),
-    output_template=_passthrough_output(("congestion_level", "average_speed_kmh", "incident_count")),
+    tool="traffic_db",
 ))
 
 _register(TaskType(
@@ -639,9 +634,7 @@ _register(TaskType(
         "destination": rng.choice(AIRPORTS),
         "date": rng.choice(DATES),
     },
-    steps=({"tool": "flight_db", "args": {"origin": "$input.origin", "destination": "$input.destination",
-                                          "date": "$input.date"}, "bind": "result"},),
-    output_template=_passthrough_output(("flight_number", "departure_time", "price")),
+    tool="flight_db",
 ))
 
 _register(TaskType(
@@ -669,9 +662,7 @@ _register(TaskType(
         "start_date": rng.choice(DATES),
         "days": rng.randint(1, 10),
     },
-    steps=({"tool": "rental_db", "args": {"city": "$input.city", "start_date": "$input.start_date",
-                                          "days": "$input.days"}, "bind": "result"},),
-    output_template=_passthrough_output(("model", "price_per_day", "confirmation")),
+    tool="rental_db",
 ))
 
 _register(TaskType(
@@ -701,23 +692,16 @@ _register(TaskType(
         "time": rng.choice(TIMES),
         "party_size": rng.randint(2, 8),
     },
-    steps=({"tool": "table_db", "args": {"city": "$input.city", "date": "$input.date",
-                                         "time": "$input.time", "party_size": "$input.party_size"},
-            "bind": "result"},),
-    output_template=_passthrough_output(("restaurant", "table", "confirmed")),
+    tool="table_db",
 ))
 
 
 # ── derived artifacts ────────────────────────────────────────────────
 
 def _schema_skeleton(schema: dict) -> str:
-    lines = ["  {"]
-    props = list(schema.get("properties", {}).items())
-    for i, (name, prop) in enumerate(props):
-        comma = "," if i + 1 < len(props) else ""
-        lines.append(f'    "{name}": {prop.get("type", "string")}{comma}')
-    lines.append("  }")
-    return "\n".join(lines)
+    fields = ",\n".join(f'    "{name}": {prop.get("type", "string")}'
+                        for name, prop in schema.get("properties", {}).items())
+    return f"  {{\n{fields}\n  }}"
 
 
 def _schema_field_docs(schema: dict) -> str:
@@ -789,23 +773,13 @@ def format_answer(task: TaskType, payload: dict, result: dict) -> str:
     return task._answer.format({**payload, **result})
 
 
-def sender_routine_spec(task: TaskType, protocol_hash: str) -> dict:
-    """Spec serializing a task payload into the protocol's input message."""
-    return {
-        "protocol_hash": protocol_hash,
-        "side": "sender",
-        "input": {k: v for k, v in task.input_schema.items() if k != "type"},
-        "steps": [],
-        "output": {name: f"$input.{name}" for name in task.input_schema.get("properties", {})},
-    }
-
-
-def receiver_routine_spec(task: TaskType, protocol_hash: str) -> dict:
-    """Spec mapping the protocol's input message through the server tools."""
-    return {
-        "protocol_hash": protocol_hash,
-        "side": "receiver",
-        "input": {k: v for k, v in task.input_schema.items() if k != "type"},
-        "steps": [dict(step) for step in task.steps],
-        "output": dict(task.output_template),
-    }
+def routine_for(task: TaskType, side: str, protocol_hash: str) -> Routine:
+    """The routine for *side* of *task*'s protocol: a sender's writes the
+    payload's fields into the input message, a receiver's runs the task's
+    tool steps."""
+    schema = {k: v for k, v in task.input_schema.items() if k != "type"}
+    if side == SENDER:
+        return Routine(protocol_hash, SENDER, schema,
+                       output_template=_fields_of("input", task.input_schema))
+    return Routine(protocol_hash, RECEIVER, schema,
+                   tuple(RoutineStep(**step) for step in task.steps), task.output_template)

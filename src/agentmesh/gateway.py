@@ -245,11 +245,17 @@ class LiveChatBackend(CompletionBackend):
             try:
                 data = json.loads(text)
                 reply = data["choices"][0]["message"]["content"]
+                if not isinstance(reply, str):
+                    raise TypeError(f"reply content is {type(reply).__name__}, not a string")
                 usage = data.get("usage", {})
-                prompt_tokens = int(usage.get("prompt_tokens",
-                                              sum(count_tokens(m.content) for m in conversation)))
-                completion_tokens = int(usage.get("completion_tokens", count_tokens(reply)))
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                counts = (usage.get("prompt_tokens",
+                                    sum(count_tokens(m.content) for m in conversation)),
+                          usage.get("completion_tokens", count_tokens(reply)))
+                # A count the ledger can price: a whole number, not a bool,
+                # and exact as a float.
+                if not all(type(n) is int and 0 <= n <= 2 ** 53 for n in counts):
+                    raise ValueError("usage token counts must be whole numbers from 0 to 2**53")
+                return reply, TokenUsage(*counts)
+            except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
                 raise BackendError(f"completion request failed: {exc}") from exc
-            return reply, TokenUsage(prompt_tokens, completion_tokens)
         raise BackendError(f"completion request failed after {COMPLETION_ATTEMPTS} attempts: {last_error}")

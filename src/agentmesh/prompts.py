@@ -1,10 +1,10 @@
-"""Prompt builders and reply markers shared by the runtime and backends.
+"""Prompt builders, and beside each the reader of what it writes.
 
 The runtime talks to completion backends through conversations built here;
-scripted backends key their behaviour off the same marker lines, so the
-formats below are load-bearing: a `Task type:` line names the workload
-task, `TOOL_CALL ` prefixes a tool invocation request, and a fenced
-FINALIZED block carries the byte-exact text of a negotiated protocol.
+scripted backends key their behaviour off the same lines, so the formats
+below are load-bearing: a `Task type: ...` header names the workload task, a
+marker line opens a prompt's protocol text, `TOOL_CALL ` prefixes a tool
+call, and a fenced FINALIZED block carries a negotiated protocol's text.
 """
 
 from __future__ import annotations
@@ -23,6 +23,21 @@ ROLE_SERVER = "ROLE: server"
 ROLE_COMPOSE = "ROLE: compose"
 ROLE_SYNTHESIS = "ROLE: synthesis"
 ROLE_PARSE = "ROLE: parse"
+
+# Header labels, written as `Label: value` lines and read by read_header.
+AGENT = "Agent"
+SIDE = "Side"
+TASK_TYPE = "Task type"
+TASK = "Task"
+PROTOCOL_HASH = "Protocol hash"
+
+# The line after which each prompt carries a protocol text to its end.
+SERVER_PROTOCOL = "The request follows this protocol document:\n"
+COMPOSE_PROTOCOL = "Format the request body exactly as this protocol document specifies:\n"
+SYNTHESIS_PROTOCOL = "Protocol document:\n"
+
+_CANDIDATES = "Candidates:"
+_CANDIDATE_SEPARATOR = " :: "
 
 # Standing instructions included in every request-handling prompt. Live
 # deployments carry presets like this; the simulator charges for them like
@@ -91,20 +106,35 @@ def format_tool_call(tool: str, args: dict) -> str:
     return TOOL_CALL_PREFIX + json.dumps({"tool": tool, "args": args})
 
 
+def read_header(text: str, label: str) -> str:
+    """The value of *text*'s first `label: value` line as written, or ""."""
+    start = ("\n" + text).find(f"\n{label}: ")
+    if start < 0:
+        return ""
+    start += len(label) + 2
+    end = text.find("\n", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def read_protocol_text(text: str, marker: str) -> str | None:
+    """The protocol text a prompt carries from *marker* to its end, or None
+    when it carries none."""
+    start = text.find(marker)
+    return None if start < 0 else text[start + len(marker):]
+
+
 def _tool_lines(tools) -> str:
-    lines = []
-    for tool in tools:
-        lines.append(f"- {tool.name} ({tool.kind}): {tool.description}")
-    return "\n".join(lines) if lines else "(none)"
+    return "\n".join(f"- {tool.name} ({tool.kind}): {tool.description}"
+                     for tool in tools) or "(none)"
 
 
 def negotiation_system(agent_id: str, side: str, task_type: str, task_description: str) -> Message:
     return Message("system", (
         f"{ROLE_NEGOTIATION}\n"
-        f"Agent: {agent_id}\n"
-        f"Side: {side}\n"
-        f"Task type: {task_type}\n"
-        f"Task: {task_description}\n"
+        f"{AGENT}: {agent_id}\n"
+        f"{SIDE}: {side}\n"
+        f"{TASK_TYPE}: {task_type}\n"
+        f"{TASK}: {task_description}\n"
         "Negotiate a simple, unambiguous message protocol for this task. "
         "When the protocol is final, include its full text in a fenced block "
         "opened by ```FINALIZED and closed by ``` on its own line."
@@ -135,28 +165,36 @@ def parse_opening(message: str) -> tuple[str, str, bool] | None:
 def suitability_system(agent_id: str) -> Message:
     return Message("system", (
         f"{ROLE_SUITABILITY}\n"
-        f"Agent: {agent_id}\n"
+        f"{AGENT}: {agent_id}\n"
         "Judge whether any candidate protocol fits the task. Reply with the "
         "hash of the one suitable protocol, or NONE."
     ))
 
 
 def suitability_request(task_description: str, candidates) -> Message:
-    lines = [f"Task: {task_description}", "Candidates:"]
-    for digest, name, description in candidates:
-        lines.append(f"- {digest} :: {name} :: {description}")
+    lines = [f"{TASK}: {task_description}", _CANDIDATES]
+    for candidate in candidates:
+        lines.append("- " + _CANDIDATE_SEPARATOR.join(candidate))
     return Message("user", "\n".join(lines))
+
+
+def read_suitability_request(text: str) -> tuple[str, list[tuple[str, ...]]]:
+    """The task description and the (digest, name, description) candidates
+    of a suitability request; a name must not contain " ::"."""
+    entries = text.partition(f"\n{_CANDIDATES}")[2].split("\n- ")[1:]
+    candidates = [tuple(entry.split(_CANDIDATE_SEPARATOR, 2)) for entry in entries]
+    return read_header(text, TASK), [c for c in candidates if len(c) == 3]
 
 
 def server_system(agent_id: str, tools, protocol_text: str | None) -> Message:
     context = (
-        "The request follows this protocol document:\n" + protocol_text
+        SERVER_PROTOCOL + protocol_text
         if protocol_text else
         "The request is plain natural language; answer in natural language."
     )
     return Message("system", (
         f"{ROLE_SERVER}\n"
-        f"Agent: {agent_id}\n"
+        f"{AGENT}: {agent_id}\n"
         "You answer requests using your tools.\n"
         f"{SERVER_PREAMBLE}\n"
         f"Tools:\n{_tool_lines(tools)}\n"
@@ -169,15 +207,15 @@ def server_system(agent_id: str, tools, protocol_text: str | None) -> Message:
 def compose_system(agent_id: str, task_type: str, task_description: str,
                    protocol_text: str | None) -> Message:
     context = (
-        "Format the request body exactly as this protocol document specifies:\n" + protocol_text
+        COMPOSE_PROTOCOL + protocol_text
         if protocol_text else
         "Write the request as a single natural-language question."
     )
     return Message("system", (
         f"{ROLE_COMPOSE}\n"
-        f"Agent: {agent_id}\n"
-        f"Task type: {task_type}\n"
-        f"Task: {task_description}\n"
+        f"{AGENT}: {agent_id}\n"
+        f"{TASK_TYPE}: {task_type}\n"
+        f"{TASK}: {task_description}\n"
         f"{COMPOSE_PREAMBLE}\n"
         "Compose the outbound request body for the task data in the next message.\n"
         + context
@@ -187,9 +225,9 @@ def compose_system(agent_id: str, task_type: str, task_description: str,
 def parse_system(agent_id: str, task_type: str, task_description: str) -> Message:
     return Message("system", (
         f"{ROLE_PARSE}\n"
-        f"Agent: {agent_id}\n"
-        f"Task type: {task_type}\n"
-        f"Task: {task_description}\n"
+        f"{AGENT}: {agent_id}\n"
+        f"{TASK_TYPE}: {task_type}\n"
+        f"{TASK}: {task_description}\n"
         "Extract the reply's facts into the task's result schema and answer "
         "with a single JSON object, nothing else. Preserve numbers exactly; "
         "do not convert units or round."
@@ -212,8 +250,8 @@ def parse_task_data(message: str) -> dict | None:
 def synthesis_system(agent_id: str, side: str, tools) -> Message:
     return Message("system", (
         f"{ROLE_SYNTHESIS}\n"
-        f"Agent: {agent_id}\n"
-        f"Side: {side}\n"
+        f"{AGENT}: {agent_id}\n"
+        f"{SIDE}: {side}\n"
         f"Tools:\n{_tool_lines(tools)}\n"
         "Write a declarative routine spec as a single JSON object with keys "
         "protocol_hash, side, input, steps, output. Reply with JSON only."
@@ -221,4 +259,4 @@ def synthesis_system(agent_id: str, side: str, tools) -> Message:
 
 
 def synthesis_request(pd_text: str, protocol_hash: str) -> Message:
-    return Message("user", f"Protocol hash: {protocol_hash}\nProtocol document:\n{pd_text}")
+    return Message("user", f"{PROTOCOL_HASH}: {protocol_hash}\n{SYNTHESIS_PROTOCOL}{pd_text}")

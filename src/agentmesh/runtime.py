@@ -514,22 +514,28 @@ class Agent:
         conv["messages"].append(Message("user", message))
         block = prompts.extract_finalized(message)
         if block is not None:
-            self._close_conversation(conv_id, conv, block)
-            return self._conversation_reply(conv_id, "Acknowledged; the protocol is finalized.")
+            return self._close_conversation(conv_id, conv, block,
+                                            "Acknowledged; the protocol is finalized.")
 
         reply = self._complete(conv["messages"], Activity.NEGOTIATION)
         conv["messages"].append(Message("assistant", reply))
         block = prompts.extract_finalized(reply)
         if block is not None:
-            self._close_conversation(conv_id, conv, block)
+            return self._close_conversation(conv_id, conv, block, reply)
         return self._conversation_reply(conv_id, reply)
 
-    def _close_conversation(self, conv_id: str, conv: dict, block: str) -> None:
-        """Finalize the protocol, then keep only a closed marker: a finished
-        negotiation's history is never read again."""
-        self._finalize(block, conv["peer"], conv["task_type"], conv["my_side"])
+    def _close_conversation(self, conv_id: str, conv: dict, block: str,
+                            reply: str) -> ResponseEnvelope:
+        """Keep only a closed marker, since a finished negotiation's history
+        is never read again, then finalize the protocol and answer *reply*.
+        A final text that does not parse is answered with ``failure``."""
         with self._lock:
             self._conversations[conv_id] = None
+        try:
+            self._finalize(block, conv["peer"], conv["task_type"], conv["my_side"])
+        except DocumentError as exc:
+            return ResponseEnvelope(STATUS_FAILURE, f"malformed protocol: {exc}")
+        return self._conversation_reply(conv_id, reply)
 
     @staticmethod
     def _conversation_reply(conv_id: str, message: str) -> ResponseEnvelope:
@@ -607,7 +613,10 @@ class Agent:
 
             block = prompts.extract_finalized(message) or prompts.extract_finalized(reply)
             if block is not None:
-                return self._finalize(block, peer_id, task_type, my_side)
+                try:
+                    return self._finalize(block, peer_id, task_type, my_side)
+                except DocumentError as exc:
+                    raise NegotiationError(f"malformed protocol: {exc}") from exc
         raise NegotiationError(
             f"no finalized protocol after {NEGOTIATION_ROUNDS} rounds")
 

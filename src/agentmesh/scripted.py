@@ -48,18 +48,8 @@ def metadata_matches(task_description: str, name: str, description: str) -> bool
     return len(overlap) >= MIN_OVERLAP
 
 
-def _field(text: str, label: str) -> str:
-    for line in text.splitlines():
-        if line.startswith(label):
-            return line[len(label):].strip()
-    return ""
-
-
 def _last_user_message(conversation: list[Message]) -> str | None:
-    for message in reversed(conversation):
-        if message.role == "user":
-            return message.content
-    return None
+    return next((m.content for m in reversed(conversation) if m.role == "user"), None)
 
 
 class ScriptedBackend(CompletionBackend):
@@ -110,8 +100,8 @@ class ScriptedBackend(CompletionBackend):
     # -- negotiation -----------------------------------------------------
 
     def _negotiation(self, system: str, conversation: list[Message]) -> tuple[str, str]:
-        side = _field(system, "Side: ")
-        task_type = _field(system, "Task type: ")
+        side = prompts.read_header(system, prompts.SIDE)
+        task_type = prompts.read_header(system, prompts.TASK_TYPE)
         task = catalog.CATALOG.get(task_type)
         last_peer = _last_user_message(conversation)
 
@@ -141,15 +131,9 @@ class ScriptedBackend(CompletionBackend):
     # -- suitability judging ----------------------------------------------
 
     def _suitability(self, conversation: list[Message]) -> tuple[str, str]:
-        request = _last_user_message(conversation) or ""
-        task_description = _field(request, "Task: ")
-        for line in request.splitlines():
-            if not line.startswith("- "):
-                continue
-            parts = line[2:].split(" :: ")
-            if len(parts) != 3:
-                continue
-            digest, name, description = parts
+        task_description, candidates = prompts.read_suitability_request(
+            _last_user_message(conversation) or "")
+        for digest, name, description in candidates:
             if metadata_matches(task_description, name, description):
                 return "suitability", digest
         return "suitability", "NONE"
@@ -157,16 +141,14 @@ class ScriptedBackend(CompletionBackend):
     # -- server handling (tool loop) ----------------------------------------
 
     def _server(self, system: str, conversation: list[Message]) -> tuple[str, str]:
-        protocol_mode = "The request follows this protocol document:" in system
+        protocol_text = prompts.read_protocol_text(system, prompts.SERVER_PROTOCOL)
+        protocol_mode = protocol_text is not None
         body = conversation[1].content if len(conversation) > 1 else ""
 
         if protocol_mode:
-            title = _field(system.split("The request follows this protocol document:", 1)[1],
-                           "Name: ")
-            task = catalog.task_for_protocol_title(title)
+            task = catalog.task_for_protocol_title(parse_document(protocol_text).name)
         else:
-            task_name = catalog.classify(body)
-            task = catalog.CATALOG.get(task_name) if task_name else None
+            task = catalog.CATALOG.get(catalog.classify(body))
         if task is None:
             return "final_reply", "I cannot handle this request."
 
@@ -218,17 +200,15 @@ class ScriptedBackend(CompletionBackend):
         payload = prompts.parse_task_data(_last_user_message(conversation) or "")
         if payload is None:
             return "compose", "{}"
-        if "Format the request body exactly" in system:
-            return "compose", json.dumps(payload)
-        task = catalog.CATALOG.get(_field(system, "Task type: "))
-        if task is None:
+        task = catalog.CATALOG.get(prompts.read_header(system, prompts.TASK_TYPE))
+        if task is None or prompts.read_protocol_text(system, prompts.COMPOSE_PROTOCOL) is not None:
             return "compose", json.dumps(payload)
         return "compose", catalog.format_question(task, payload)
 
     # -- reply parsing --------------------------------------------------------
 
     def _parse(self, system: str, conversation: list[Message]) -> tuple[str, str]:
-        task = catalog.CATALOG.get(_field(system, "Task type: "))
+        task = catalog.CATALOG.get(prompts.read_header(system, prompts.TASK_TYPE))
         reply = _last_user_message(conversation) or ""
         parsed = task.parse_answer(reply) if task else None
         if parsed is None:
@@ -238,21 +218,14 @@ class ScriptedBackend(CompletionBackend):
     # -- routine authoring ---------------------------------------------------
 
     def _synthesis(self, system: str, conversation: list[Message]) -> tuple[str, str]:
-        side = _field(system, "Side: ")
         request = _last_user_message(conversation) or ""
-        digest = _field(request, "Protocol hash: ")
-        pd_marker = "Protocol document:\n"
-        if pd_marker not in request:
-            return "synthesis", "{}"
-        doc = parse_document(request.split(pd_marker, 1)[1])
-        task = catalog.task_for_protocol_title(doc.name)
+        protocol_text = prompts.read_protocol_text(request, prompts.SYNTHESIS_PROTOCOL)
+        task = catalog.task_for_protocol_title(parse_document(protocol_text or "").name)
         if task is None:
             return "synthesis", "{}"
-        if side == "sender":
-            spec = catalog.sender_routine_spec(task, digest)
-        else:
-            spec = catalog.receiver_routine_spec(task, digest)
-        return "synthesis", json.dumps(spec)
+        routine = catalog.routine_for(task, prompts.read_header(system, prompts.SIDE),
+                                      prompts.read_header(request, prompts.PROTOCOL_HASH))
+        return "synthesis", json.dumps(routine.to_spec())
 
 
 # ── demo calibration ─────────────────────────────────────────────────

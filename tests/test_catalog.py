@@ -9,7 +9,7 @@ import pytest
 
 from agentmesh import catalog
 from agentmesh.documents import compute_hash
-from agentmesh.routines import routine_from_spec, run_routine
+from agentmesh.routines import RECEIVER, run_routine
 
 TASK_NAMES = sorted(catalog.CATALOG)
 DRAWS = 200
@@ -18,7 +18,7 @@ DRAWS = 200
 def receiver_result(task: catalog.TaskType, payload: dict) -> dict:
     """What the task's receiver routine answers, with each external step
     answered by its target task type's receiver routine."""
-    routine = routine_from_spec(catalog.receiver_routine_spec(task, compute_hash(catalog.pd_text(task))))
+    routine = catalog.routine_for(task, RECEIVER, compute_hash(catalog.pd_text(task)))
     tools = dict(catalog.MOCK_TOOLS)
     for tool in task.server_tools:
         target = catalog.CATALOG[tool["task_type"]]
@@ -77,3 +77,32 @@ def test_mistyped_field_parses_to_none(name):
             payload = {**task.example_input, field: _NOT_A[prop["type"]]}
             assert task.parse_question(catalog.format_question(task, payload)) is None
     assert checked
+
+
+# ── integrity: the fixtures, the worked examples and the derived steps ──
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_receiver_routine_answers_the_worked_example(name):
+    task = catalog.CATALOG[name]
+    assert receiver_result(task, task.example_input) == task.example_output
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_steps_name_known_tools(name):
+    task = catalog.CATALOG[name]
+    external = {tool["name"] for tool in task.server_tools}
+    assert task.steps
+    for step in task.steps:
+        assert step["tool"] in catalog.MOCK_TOOLS or step["tool"] in external
+    for tool in task.server_tools:
+        assert tool["task_type"] in catalog.CATALOG
+
+
+@pytest.mark.parametrize("name", [name for name in TASK_NAMES if catalog.CATALOG[name].tool])
+def test_one_step_task_passes_every_input_field(name):
+    task = catalog.CATALOG[name]
+    inputs, outputs = task.input_schema["properties"], task.output_schema["properties"]
+    assert task.steps == ({"tool": task.tool, "args": {f: f"$input.{f}" for f in inputs},
+                           "bind": "result"},)
+    assert task.output_template == {f: f"$result.{f}" for f in outputs}
+    assert catalog.MOCK_TOOLS[task.tool](task.example_input) == task.example_output

@@ -8,16 +8,20 @@ import pytest
 
 from agentmesh import gateway
 from agentmesh.gateway import BackendError, LiveChatBackend, Message, TokenUsage
+from conftest import DEEP
 
 
 class _StubChatServer:
-    """Speaks just enough of the chat-completions shape for the client."""
+    """Speaks just enough of the chat-completions shape for the client;
+    *raw* replaces the whole answer body."""
 
-    def __init__(self, fail_first: int = 0, usage: dict | None = None, fail_status: int = 503):
+    def __init__(self, fail_first: int = 0, usage: dict | None = None, fail_status: int = 503,
+                 raw: str | None = None):
         self.requests: list[dict] = []
         self.fail_remaining = fail_first
         self.fail_status = fail_status
         self.usage = usage
+        self.raw = raw
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -34,7 +38,7 @@ class _StubChatServer:
                 body = {"choices": [{"message": {"content": "stub reply"}}]}
                 if stub.usage is not None:
                     body["usage"] = stub.usage
-                data = json.dumps(body).encode()
+                data = (json.dumps(body) if stub.raw is None else stub.raw).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -120,3 +124,46 @@ def test_client_error_is_not_retried(short_backoff):
     finally:
         stub.close()
     assert len(stub.requests) == 1
+
+
+def _answer(content='"stub reply"', prompt="1", completion="1") -> str:
+    return ('{"choices": [{"message": {"content": %s}}], '
+            '"usage": {"prompt_tokens": %s, "completion_tokens": %s}}' % (content, prompt, completion))
+
+
+MALFORMED_ANSWERS = [
+    pytest.param(_answer(prompt="-1"), id="negative-count"),
+    pytest.param(_answer(completion="1e400"), id="overflowing-count"),
+    pytest.param(DEEP, id="deep"),
+    pytest.param(_answer(prompt="1" + "0" * 400), id="unpriceable-count"),
+    pytest.param(_answer(completion="2.0"), id="float-count"),
+    pytest.param(_answer(prompt="true"), id="bool-count"),
+    pytest.param(_answer(content="5"), id="number-content"),
+    pytest.param(_answer(content="null"), id="null-content"),
+    pytest.param('{"choices": []}', id="no-choice"),
+]
+
+
+@pytest.mark.parametrize("raw", MALFORMED_ANSWERS)
+def test_malformed_answer_is_a_backend_error(raw):
+    stub = _StubChatServer(raw=raw)
+    try:
+        with pytest.raises(BackendError, match="completion request failed"):
+            LiveChatBackend(stub.url, "k", "m").complete(CONVERSATION)
+    finally:
+        stub.close()
+    assert len(stub.requests) == 1
+
+
+@pytest.mark.parametrize("raw", MALFORMED_ANSWERS[:3])
+def test_agent_on_a_malformed_answer_gets_a_failure(world, raw):
+    stub = _StubChatServer(raw=raw)
+    try:
+        world.add_weather_server()
+        alice = world.add_agent("alice", backend=LiveChatBackend(stub.url, "k", "m"))
+        resp, path = alice.send_task("bob", "weather", {"location": "Paris", "date": "2024-10-14"})
+    finally:
+        stub.close()
+    assert (resp.status, path) == ("failure", "natural_language")
+    assert resp.body.startswith("backend error: completion request failed")
+    assert len(world.ledger) == 0

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from agentmesh import catalog
 from agentmesh.documents import compute_hash
-from agentmesh.routines import (SENDER, Routine, RoutineExecutionError,
+from agentmesh.routines import (RECEIVER, SENDER, Routine, RoutineExecutionError,
                                 RoutineInputError, RoutineSpecError, RoutineStep,
                                 as_decoded_json, compile_template, execute_routine,
                                 load_routine, routine_from_spec, run_routine,
@@ -22,13 +22,13 @@ WEATHER_HASH = compute_hash(catalog.WEATHER_PD_TEXT)
 @pytest.fixture
 def receiver_routine():
     task = catalog.CATALOG["weather"]
-    return routine_from_spec(catalog.receiver_routine_spec(task, WEATHER_HASH))
+    return catalog.routine_for(task, RECEIVER, WEATHER_HASH)
 
 
 @pytest.fixture
 def sender_routine():
     task = catalog.CATALOG["weather"]
-    return routine_from_spec(catalog.sender_routine_spec(task, WEATHER_HASH))
+    return catalog.routine_for(task, SENDER, WEATHER_HASH)
 
 
 class TestSpecParsing:
@@ -348,13 +348,13 @@ class TestCatalogSpecsValidateEverywhere:
                                       if n not in ("food_order", "delivery")])
     def test_receiver_reproduces_example(self, name):
         task = catalog.CATALOG[name]
-        routine = routine_from_spec(catalog.receiver_routine_spec(task, "0" * 40))
+        routine = catalog.routine_for(task, RECEIVER, "0" * 40)
         out = execute_routine(routine, json.dumps(task.example_input), catalog.MOCK_TOOLS)
         assert json.loads(out) == task.example_output
 
     @pytest.mark.parametrize("name", list(catalog.CATALOG))
     def test_sender_reproduces_example_input(self, name):
         task = catalog.CATALOG[name]
-        routine = routine_from_spec(catalog.sender_routine_spec(task, "0" * 40))
+        routine = catalog.routine_for(task, SENDER, "0" * 40)
         out = execute_routine(routine, json.dumps(task.example_input), {})
         assert json.loads(out) == task.example_input

@@ -49,6 +49,19 @@ class GatedStubbornBackend(StubbornBackend):
         return super().complete(conversation)
 
 
+class MalformedFinalBackend(ScriptedBackend):
+    """Finalizes a protocol text whose preamble has two ``Name:`` lines."""
+
+    def _negotiation(self, system, conversation):
+        kind, reply = super()._negotiation(system, conversation)
+        if kind == "negotiation_finalize":
+            reply = reply.replace("Name: ", "Name: Twice\nName: ", 1)
+        return kind, reply
+
+
+MALFORMED_FINAL = prompts.make_finalized("Name: One\nName: Two\n\nA protocol.\n")
+
+
 def negotiation_records(world) -> int:
     return sum(1 for r in world.ledger.records() if r.activity is Activity.NEGOTIATION)
 
@@ -415,6 +428,45 @@ class TestNegotiation:
         resp = bob.dispatch(RequestEnvelope(BOOTSTRAP_HASH, ("builtin:conversation",), late))
         assert json.loads(resp.body) == {"conversation_id": "alice-1",
                                          "message": "This conversation is closed."}
+
+
+class TestMalformedFinalText:
+    PAYLOAD = {"location": "Paris", "date": "2024-10-14"}
+
+    def test_responder_model_fails_the_negotiation_not_the_query(self, world):
+        bob = world.add_weather_server("bob", backend=MalformedFinalBackend())
+        alice = world.add_agent("alice", thresholds=EscalationThresholds(1, 1))
+        first = alice.send_task("bob", "weather", self.PAYLOAD, "weather")
+        negotiated = negotiation_records(world)
+        second = alice.send_task("bob", "weather", self.PAYLOAD, "weather")
+        assert [(resp.status, path) for resp, path in (first, second)] == [
+            ("success", "natural_language")] * 2
+        assert negotiation_records(world) == negotiated
+        assert alice.state.pair(("bob", "weather")).failed
+        assert list(bob._conversations.values()) == [None]
+        assert bob.get_document(WEATHER_HASH) is None
+
+    def test_initiator_fails_the_negotiation_on_a_peers_final_text(self, world):
+        bob = world.add_weather_server()
+        world.network.register("bob", _ConversationAnswers(bob, json.dumps(
+            {"conversation_id": "bob-1", "message": MALFORMED_FINAL})))
+        alice = world.add_agent("alice", thresholds=EscalationThresholds(1, 1))
+        sent = [alice.send_task("bob", "weather", self.PAYLOAD, "weather") for _ in range(2)]
+        assert [(resp.status, path) for resp, path in sent] == [
+            ("success", "natural_language")] * 2
+        assert alice.state.pair(("bob", "weather")).failed
+        assert negotiation_records(world) == 0     # the peer's answers were not model calls
+
+    def test_responder_answers_failure_and_closes(self, world, caplog):
+        bob = world.add_weather_server()
+        body = json.dumps({"conversation_id": "alice-1", "from": "alice",
+                           "message": MALFORMED_FINAL})
+        with caplog.at_level("INFO"):
+            resp = bob.dispatch(RequestEnvelope(BOOTSTRAP_HASH, ("builtin:conversation",), body))
+        assert resp.status == "failure"
+        assert resp.body == "malformed protocol: line 2: duplicate 'Name:' line"
+        assert bob._conversations == {"alice-1": None}
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
 
 class _ConversationAnswers:
